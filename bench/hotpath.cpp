@@ -8,17 +8,13 @@
 //   lib scalar   — today's BloomFilter::contains in a loop;
 //   batch        — contains_batch (tiled, prefetched, split-digest layout);
 //   blocked      — contains_batch over the cache-line-blocked layout.
-// And three IBLT builds: seed-replica scalar insert (per-probe seed mix and
-// hardware `%`), insert_batch, and pooled insert_all, plus subtract and
-// decode of a realistic difference.
+// And two IBLT builds: seed-replica scalar insert (per-probe seed mix and
+// hardware `%`) and insert_batch, plus subtract and decode of a realistic
+// difference.
 //
-// Round 2 adds two sections:
-//   kernels — each SIMD kernel (bloom probe/set, IBLT cell add/sub, xor,
-//             all_zero, bytes_equal) timed portable-vs-best-ISA over large
-//             buffers via kernels_for(), reported as bytes/s + speedup;
-//   wire    — copy (encode_frame) vs zero-copy (begin_frame + serialize_into
-//             + end_frame) framing of a realistic GrapheneBlockMsg, with a
-//             byte-identity cross-check.
+// A kernels section times each SIMD kernel (IBLT cell subtract, all_zero)
+// portable-vs-best-ISA over large buffers via kernels_for(), reported as
+// bytes/s + speedup.
 //
 // Every variant's results are cross-checked (hit counts per strategy, cell
 // bytes across build paths, kernel outputs portable-vs-SIMD) and the process
@@ -30,23 +26,18 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
 #include "bloom/bloom_math.hpp"
 #include "chain/transaction.hpp"
-#include "graphene/messages.hpp"
 #include "iblt/iblt.hpp"
-#include "net/frame.hpp"
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
 #include "util/hash.hpp"
 #include "util/random.hpp"
 #include "util/simd/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -183,12 +174,12 @@ void check(bool ok, const char* what) {
 struct ScaleResult {
   std::uint64_t m = 0, n = 0;
   double filter_seed_ms = 0, filter_lib_ms = 0, filter_batch_ms = 0;
-  double filter_blocked_ms = 0, filter_pool_ms = 0;
-  double iblt_seed_ms = 0, iblt_batch_ms = 0, iblt_pool_ms = 0;
-  double subtract_ms = 0, subtract_pool_ms = 0, decode_ms = 0;
+  double filter_blocked_ms = 0;
+  double iblt_seed_ms = 0, iblt_batch_ms = 0;
+  double subtract_ms = 0, decode_ms = 0;
 };
 
-ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
+ScaleResult run_scale(std::uint64_t m, int reps) {
   ScaleResult res;
   res.m = m;
   res.n = m / 10;
@@ -219,8 +210,7 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
             seed_filter.k == lib_filter.hash_count(),
         "seed replica and library sized differently");
 
-  std::uint64_t hits_seed = 0, hits_lib = 0, hits_batch = 0, hits_pool = 0,
-                hits_blocked = 0;
+  std::uint64_t hits_seed = 0, hits_lib = 0, hits_batch = 0, hits_blocked = 0;
   res.filter_seed_ms = best_ms(reps, &hits_seed, [&] {
     std::uint64_t hits = 0;
     for (const chain::TxId& id : mempool) hits += seed_filter.contains(util::ByteView(id)) ? 1 : 0;
@@ -244,15 +234,8 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
     for (const std::uint8_t b : out) hits += b;
     return hits;
   });
-  res.filter_pool_ms = best_ms(reps, &hits_pool, [&] {
-    bloom::contains_all(blocked, views.data(), views.size(), out.data(), &pool);
-    std::uint64_t hits = 0;
-    for (const std::uint8_t b : out) hits += b;
-    return hits;
-  });
   check(hits_seed == hits_lib, "library scalar diverged from seed replica");
   check(hits_lib == hits_batch, "contains_batch diverged from scalar");
-  check(hits_blocked == hits_pool, "pooled contains_all diverged from batch");
 
   // --- IBLT build / subtract / decode ------------------------------------
   // Tables are sized to the full mempool, not the block: this is the
@@ -282,13 +265,6 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
     batch_table = t;
     return static_cast<std::uint64_t>(t.cells_for_test()[0].key_sum);
   });
-  iblt::Iblt pool_table(iblt::IbltParams{4, cell_count}, salt);
-  res.iblt_pool_ms = best_ms(reps, &sink, [&] {
-    iblt::Iblt t(iblt::IbltParams{4, cell_count}, salt);
-    t.insert_all(std::span<const std::uint64_t>(sids_a), &pool);
-    pool_table = t;
-    return static_cast<std::uint64_t>(t.cells_for_test()[0].key_sum);
-  });
   {
     SeedIblt seed_table(4, cell_count, salt);
     for (const std::uint64_t key : sids_a) seed_table.insert(key);
@@ -300,8 +276,6 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
              lib_cells[i].check_sum == seed_table.cells[i].check_sum;
     }
     check(same, "insert_batch cells diverged from seed replica");
-    check(batch_table.serialize() == pool_table.serialize(),
-          "insert_all cells diverged from insert_batch");
   }
 
   iblt::Iblt other(iblt::IbltParams{4, cell_count}, salt);
@@ -310,11 +284,6 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
   res.subtract_ms = best_ms(reps, &sink, [&] {
     diff = batch_table.subtract(other);
     return static_cast<std::uint64_t>(diff.cells_for_test()[0].key_sum);
-  });
-  res.subtract_pool_ms = best_ms(reps, &sink, [&] {
-    iblt::Iblt pooled = batch_table.subtract(other, &pool);
-    check(pooled.serialize() == diff.serialize(), "pooled subtract diverged");
-    return static_cast<std::uint64_t>(pooled.cells_for_test()[0].key_sum);
   });
   res.decode_ms = best_ms(reps, &sink, [&] {
     const iblt::DecodeResult dec = diff.decode();
@@ -330,7 +299,7 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
 namespace simd = util::simd;
 
 struct KernelResult {
-  std::string kernel;   ///< e.g. "cells_add"
+  std::string kernel;   ///< e.g. "cells_sub"
   std::string variant;  ///< "portable" or the dispatched ISA name
   double ms = 0;
   double bytes_per_sec = 0;
@@ -363,39 +332,6 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
   std::vector<KernelResult> out;
   util::Rng rng(0x51d4be7c);
 
-  // Blocked-Bloom block probe/set: 64k independent 512-bit blocks, k = 8.
-  {
-    const std::size_t blocks = 1 << 16;
-    std::vector<std::uint64_t> table(blocks * 8);
-    for (auto& w : table) w = rng.next();
-    std::vector<std::uint32_t> xs(blocks), ys(blocks);
-    for (std::size_t i = 0; i < blocks; ++i) {
-      xs[i] = static_cast<std::uint32_t>(rng.below(512));
-      ys[i] = static_cast<std::uint32_t>(rng.below(512));
-    }
-    const double bytes = static_cast<double>(blocks) * 64;
-    std::uint64_t hits_portable = 0;
-    bench_kernel(out, "bloom_test_block", bytes, reps, [&](const simd::Kernels& k) {
-      std::uint64_t hits = 0;
-      for (std::size_t i = 0; i < blocks; ++i) {
-        hits += k.bloom_test_block(table.data() + i * 8, 8, xs[i], ys[i]) ? 1 : 0;
-      }
-      if (hits_portable == 0) hits_portable = hits;
-      check(hits == hits_portable, "bloom_test_block hit count diverged");
-      return hits;
-    });
-    std::vector<std::uint64_t> set_portable;
-    bench_kernel(out, "bloom_set_block", bytes, reps, [&](const simd::Kernels& k) {
-      std::vector<std::uint64_t> t(table);
-      for (std::size_t i = 0; i < blocks; ++i) {
-        k.bloom_set_block(t.data() + i * 8, 8, xs[i], ys[i]);
-      }
-      if (set_portable.empty()) set_portable = t;
-      check(t == set_portable, "bloom_set_block bits diverged");
-      return t[0];
-    });
-  }
-
   // IBLT cell fold: an 8k-cell table (128 KiB per operand — the cache-
   // resident regime real difference tables live in), folded 256 times per
   // pass so the measurement is compute-bound like Iblt::subtract's loop.
@@ -406,14 +342,7 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
     rng.fill(dst);
     rng.fill(src);
     const double bytes = static_cast<double>(n_cells) * 16 * 2 * passes;
-    std::vector<std::uint8_t> add_portable, sub_portable;
-    bench_kernel(out, "cells_add", bytes, reps, [&](const simd::Kernels& k) {
-      std::vector<std::uint8_t> d(dst);
-      for (int p = 0; p < passes; ++p) k.cells_add(d.data(), src.data(), n_cells);
-      if (add_portable.empty()) add_portable = d;
-      check(d == add_portable, "cells_add output diverged");
-      return static_cast<std::uint64_t>(d[0]);
-    });
+    std::vector<std::uint8_t> sub_portable;
     bench_kernel(out, "cells_sub", bytes, reps, [&](const simd::Kernels& k) {
       std::vector<std::uint8_t> d(dst);
       for (int p = 0; p < passes; ++p) k.cells_sub(d.data(), src.data(), n_cells);
@@ -423,23 +352,11 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
     });
   }
 
-  // Raw byte kernels: 64 KiB buffers (L1/L2-resident, the coded-symbol and
-  // frame-compare regime), many passes per measurement.
+  // Zero check: a 64 KiB buffer (L1/L2-resident, the size of a mid-sized
+  // difference table), many passes per measurement.
   {
     const std::size_t n = 64u << 10;
     const int passes = 1024;
-    std::vector<std::uint8_t> a(n), b(n);
-    rng.fill(a);
-    rng.fill(b);
-    std::vector<std::uint8_t> xor_portable;
-    bench_kernel(out, "xor_bytes", static_cast<double>(n) * 2 * passes, reps,
-                 [&](const simd::Kernels& k) {
-                   std::vector<std::uint8_t> d(a);
-                   for (int p = 0; p < passes; ++p) k.xor_bytes(d.data(), b.data(), n);
-                   if (xor_portable.empty()) xor_portable = d;
-                   check(d == xor_portable, "xor_bytes output diverged");
-                   return static_cast<std::uint64_t>(d[0]);
-                 });
     const std::vector<std::uint8_t> zeros(n, 0);
     bench_kernel(out, "all_zero", static_cast<double>(n) * passes, reps,
                  [&](const simd::Kernels& k) {
@@ -449,79 +366,8 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
                          "all_zero rejected a zero buffer");
                    return z;
                  });
-    bench_kernel(out, "bytes_equal", static_cast<double>(n) * 2 * passes, reps,
-                 [&](const simd::Kernels& k) {
-                   std::uint64_t eq = 0;
-                   for (int p = 0; p < passes; ++p) eq += k.bytes_equal(a.data(), a.data(), n) ? 1 : 0;
-                   check(eq == static_cast<std::uint64_t>(passes),
-                         "bytes_equal rejected identical buffers");
-                   return eq;
-                 });
   }
   return out;
-}
-
-// --- Copy vs zero-copy wire serialization ----------------------------------
-
-struct WireResult {
-  std::size_t frame_bytes = 0;
-  double copy_ms = 0;       ///< encode_frame: payload buffer + append
-  double zero_copy_ms = 0;  ///< begin_frame + serialize_into + end_frame
-  double speedup = 1.0;
-};
-
-WireResult run_wire_bench(int reps) {
-  // A realistic Protocol-1 step-3 message at n = 2000: S sized for the
-  // receiver's mempool pass plus a small I — the frame the relay daemon
-  // serializes per peer per block.
-  const std::size_t n = 2000;
-  const std::vector<chain::TxId> ids = random_ids(n, 0xf4a3e);
-  core::GrapheneBlockMsg msg;
-  msg.n = n;
-  msg.shortid_salt = 0xfeedface;
-  msg.filter_s = bloom::BloomFilter(n, 0.005, 0xb10cf11e, bloom::HashStrategy::kBlocked);
-  {
-    std::vector<util::ByteView> views;
-    views.reserve(ids.size());
-    for (const chain::TxId& id : ids) views.emplace_back(id);
-    msg.filter_s.insert_batch(views.data(), views.size());
-  }
-  msg.iblt_i = iblt::Iblt(iblt::IbltParams{4, 60}, 0xb10cf11e);
-  for (const chain::TxId& id : ids) {
-    msg.iblt_i.insert(util::hash64(util::ByteView(id), 0xb10cf11e));
-  }
-
-  WireResult res;
-  const int frames_per_rep = 64;
-  std::uint64_t sink = 0;
-  util::Bytes copy_out;
-  res.copy_ms = best_ms(reps, &sink, [&] {
-    copy_out.clear();
-    for (int i = 0; i < frames_per_rep; ++i) {
-      const net::Message m{net::MessageType::kGrapheneBlock, msg.serialize()};
-      const util::Bytes frame = net::encode_frame(m);
-      copy_out.insert(copy_out.end(), frame.begin(), frame.end());
-    }
-    return static_cast<std::uint64_t>(copy_out.size());
-  });
-  util::Bytes zc_buf;
-  util::Bytes zc_out;
-  res.zero_copy_ms = best_ms(reps, &sink, [&] {
-    zc_buf.clear();
-    util::ByteWriter w(std::move(zc_buf));
-    for (int i = 0; i < frames_per_rep; ++i) {
-      const net::FramePatch p = net::begin_frame(w, net::MessageType::kGrapheneBlock);
-      msg.serialize_into(w);
-      net::end_frame(w, p);
-    }
-    zc_out = w.take();
-    zc_buf = util::Bytes();
-    return static_cast<std::uint64_t>(zc_out.size());
-  });
-  check(copy_out == zc_out, "zero-copy framing diverged from encode_frame");
-  res.frame_bytes = copy_out.size() / frames_per_rep;
-  res.speedup = res.copy_ms / res.zero_copy_ms;
-  return res;
 }
 
 }  // namespace
@@ -534,9 +380,6 @@ int main() {
                                           ? std::vector<std::uint64_t>{10'000, 50'000}
                                           : std::vector<std::uint64_t>{10'000, 100'000,
                                                                        1'000'000};
-  const std::size_t workers = std::max(1u, std::thread::hardware_concurrency());
-  util::ThreadPool pool(workers);
-
   std::printf("simd: detected %s, active %s\n",
               simd::isa_name(simd::detected_isa()),
               simd::isa_name(simd::active_isa()));
@@ -546,34 +389,27 @@ int main() {
                 k.kernel.c_str(), k.variant.c_str(), k.ms,
                 k.bytes_per_sec / 1e6, k.speedup);
   }
-  const WireResult wire = run_wire_bench(reps);
-  std::printf("  wire frame %zu B   copy %9.3f ms | zero-copy %9.3f ms  (%.2fx)\n",
-              wire.frame_bytes, wire.copy_ms, wire.zero_copy_ms, wire.speedup);
 
   std::vector<ScaleResult> results;
   for (const std::uint64_t m : scales) {
     std::printf("m = %llu (n = %llu, %d reps, best-of)\n",
                 static_cast<unsigned long long>(m),
                 static_cast<unsigned long long>(m / 10), reps);
-    const ScaleResult r = run_scale(m, pool, reps);
+    const ScaleResult r = run_scale(m, reps);
     std::printf("  filter pass   seed %9.2f ms | scalar %9.2f | batch %9.2f | "
-                "blocked %9.2f | +pool %9.2f  (%.2fx vs seed)\n",
+                "blocked %9.2f  (%.2fx vs seed)\n",
                 r.filter_seed_ms, r.filter_lib_ms, r.filter_batch_ms,
-                r.filter_blocked_ms, r.filter_pool_ms,
-                r.filter_seed_ms / r.filter_blocked_ms);
-    std::printf("  iblt build    seed %9.2f ms | batch %9.2f | +pool %9.2f  (%.2fx vs seed)\n",
-                r.iblt_seed_ms, r.iblt_batch_ms, r.iblt_pool_ms,
-                r.iblt_seed_ms / r.iblt_batch_ms);
-    std::printf("  iblt subtract      %9.2f ms | +pool %9.2f ; decode %9.3f ms\n",
-                r.subtract_ms, r.subtract_pool_ms, r.decode_ms);
+                r.filter_blocked_ms, r.filter_seed_ms / r.filter_blocked_ms);
+    std::printf("  iblt build    seed %9.2f ms | batch %9.2f  (%.2fx vs seed)\n",
+                r.iblt_seed_ms, r.iblt_batch_ms, r.iblt_seed_ms / r.iblt_batch_ms);
+    std::printf("  iblt subtract      %9.2f ms ; decode %9.3f ms\n",
+                r.subtract_ms, r.decode_ms);
     results.push_back(r);
   }
 
   std::ofstream json("BENCH_hotpath.json");
   obs::json::Writer w;
   w.begin_object();
-  w.key("workers");
-  w.number(static_cast<std::uint64_t>(workers));
   w.key("reps");
   w.number(static_cast<std::uint64_t>(reps));
   w.key("fast");
@@ -597,17 +433,6 @@ int main() {
     w.end_object();
   }
   w.end_array();
-  w.key("wire");
-  w.begin_object();
-  w.key("frame_bytes");
-  w.number(static_cast<std::uint64_t>(wire.frame_bytes));
-  w.key("copy_ms");
-  w.number(wire.copy_ms);
-  w.key("zero_copy_ms");
-  w.number(wire.zero_copy_ms);
-  w.key("speedup");
-  w.number(wire.speedup);
-  w.end_object();
   w.key("scales");
   w.begin_array();
   for (const ScaleResult& r : results) {
@@ -624,22 +449,16 @@ int main() {
     w.number(r.filter_batch_ms);
     w.key("filter_blocked_ms");
     w.number(r.filter_blocked_ms);
-    w.key("filter_pool_ms");
-    w.number(r.filter_pool_ms);
     w.key("filter_speedup_vs_seed");
     w.number(r.filter_seed_ms / r.filter_blocked_ms);
     w.key("iblt_seed_build_ms");
     w.number(r.iblt_seed_ms);
     w.key("iblt_batch_build_ms");
     w.number(r.iblt_batch_ms);
-    w.key("iblt_pool_build_ms");
-    w.number(r.iblt_pool_ms);
     w.key("iblt_build_speedup_vs_seed");
     w.number(r.iblt_seed_ms / r.iblt_batch_ms);
     w.key("subtract_ms");
     w.number(r.subtract_ms);
-    w.key("subtract_pool_ms");
-    w.number(r.subtract_pool_ms);
     w.key("decode_ms");
     w.number(r.decode_ms);
     w.end_object();

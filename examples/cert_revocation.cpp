@@ -55,9 +55,12 @@ int main(int argc, char** argv) {
   std::printf("\nclient now holds %zu revocations (request round: %s, fetch round: %s)\n",
               outcome.host_set.size(), stats.used_request_round ? "yes" : "no",
               stats.used_fetch_round ? "yes" : "no");
-  std::printf("bytes: offer %zu + request %zu + response %zu + fetch %zu = %zu total\n",
-              stats.offer_bytes(), stats.request_bytes(), stats.response_bytes(),
-              stats.fetch_bytes(), stats.total_bytes());
+  // One entry per message: the offer, then each request/response pair.
+  std::printf("bytes:");
+  for (std::size_t i = 0; i < stats.round_bytes.size(); ++i) {
+    std::printf("%s %zu", i == 0 ? "" : " +", stats.round_bytes[i]);
+  }
+  std::printf(" = %zu total\n", stats.total_bytes());
   const std::size_t naive = revoked.size() * 32;
   std::printf("naive full transfer: %zu bytes — graphene used %.2f%% of that\n", naive,
               100.0 * static_cast<double>(stats.total_bytes()) /

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/simd/simd.hpp"
-#include "util/thread_pool.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
 
@@ -164,12 +162,26 @@ std::uint64_t BloomFilter::block_base(util::ByteView txid, std::uint32_t* x,
   return block * (kBlockBits / 64);
 }
 
+// Both walk the k in-block bit positions of the recurrence
+//   bit = x; x = (x + y) & 511; y = (y + i + 1) & 511
+// for i in [0, k), over the 8 words of the 512-bit block at `base`.
 bool BloomFilter::test_block(std::uint64_t base, std::uint32_t x, std::uint32_t y) const {
-  return util::simd::active().bloom_test_block(bits_.data() + base, k_, x, y);
+  const std::uint64_t* block = bits_.data() + base;
+  for (std::uint32_t i = 0; i < k_; ++i) {
+    if ((block[x >> 6] & (1ULL << (x & 63))) == 0) return false;
+    x = (x + y) & kBlockMask;
+    y = (y + i + 1) & kBlockMask;
+  }
+  return true;
 }
 
 void BloomFilter::set_block(std::uint64_t base, std::uint32_t x, std::uint32_t y) {
-  util::simd::active().bloom_set_block(bits_.data() + base, k_, x, y);
+  std::uint64_t* block = bits_.data() + base;
+  for (std::uint32_t i = 0; i < k_; ++i) {
+    block[x >> 6] |= (1ULL << (x & 63));
+    x = (x + y) & kBlockMask;
+    y = (y + i + 1) & kBlockMask;
+  }
 }
 
 bool BloomFilter::test(util::ByteView txid) const {
@@ -338,20 +350,8 @@ BloomFilter BloomFilter::deserialize(util::ByteReader& reader) {
 }
 
 void contains_all(const BloomFilter& filter, const util::ByteView* items,
-                  std::size_t count, std::uint8_t* out, util::ThreadPool* pool) {
-  // Chunk size is a constant, so the decomposition — and the per-item output
-  // — never depends on the worker count.
-  constexpr std::size_t kChunk = 4096;
-  if (pool == nullptr || pool->size() == 0 || count < 2 * kChunk) {
-    filter.contains_batch(items, count, out);
-    return;
-  }
-  const std::uint64_t chunks = (count + kChunk - 1) / kChunk;
-  util::parallel_for(pool, chunks, [&](std::uint64_t c) {
-    const std::size_t begin = static_cast<std::size_t>(c) * kChunk;
-    const std::size_t len = std::min(kChunk, count - begin);
-    filter.contains_batch(items + begin, len, out + begin);
-  });
+                  std::size_t count, std::uint8_t* out) {
+  filter.contains_batch(items, count, out);
 }
 
 }  // namespace graphene::bloom

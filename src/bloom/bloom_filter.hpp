@@ -23,10 +23,6 @@
 #include "util/hash.hpp"
 #include "util/siphash.hpp"
 
-namespace graphene::util {
-class ThreadPool;
-}  // namespace graphene::util
-
 namespace graphene::bloom {
 
 enum class HashStrategy : std::uint8_t {
@@ -129,7 +125,7 @@ class BloomFilter {
   /// parses as rehash k=64); both top bits set with a non-zero low 6 bits =
   /// kBlocked (k in the low 6 bits) — a range of bytes that was previously
   /// rejected, so every pre-existing encoding keeps its meaning.
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   [[nodiscard]] std::size_t serialized_size() const noexcept;
@@ -164,15 +160,11 @@ class BloomFilter {
   std::uint64_t seed_mix_ = 0;
 };
 
-/// Chunked batch membership over `count` items: out[i] = 1 iff
-/// filter.contains(items[i]), 0 otherwise. With a non-null, non-empty pool
-/// the fixed-size chunks fan out across workers — contains() is safe for
-/// concurrent readers and each chunk writes a disjoint out range, so the
-/// result (and the filter's total query/hit counters) is identical for any
-/// worker count, including none. This is the scan primitive behind the
-/// receiver's candidate pass and the sender's serve() pass.
+/// Batch membership over `count` items: out[i] = 1 iff
+/// filter.contains(items[i]), 0 otherwise — filter.contains_batch() as a
+/// free function. This is the scan primitive behind the receiver's candidate
+/// pass and the sender's serve() pass.
 void contains_all(const BloomFilter& filter, const util::ByteView* items,
-                  std::size_t count, std::uint8_t* out,
-                  util::ThreadPool* pool = nullptr);
+                  std::size_t count, std::uint8_t* out);
 
 }  // namespace graphene::bloom

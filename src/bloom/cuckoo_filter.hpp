@@ -46,7 +46,7 @@ class CuckooFilter {
 
   /// Wire format: varint(buckets) | u8(fp_bits) | u64(seed) | varint(stash
   /// size) | stash | packed fingerprint table.
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   [[nodiscard]] std::size_t serialized_size() const noexcept;

@@ -33,7 +33,7 @@ class GolombSet {
 
   /// Wire format: varint(n) | u8(rice parameter) | u64(seed) | varint(bit
   /// count) | coded payload.
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   [[nodiscard]] std::size_t serialized_size() const noexcept;

@@ -24,7 +24,7 @@ struct BlockHeader {
 
   static constexpr std::size_t kWireSize = 4 + 32 + 32 + 4 + 4 + 4;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 

@@ -37,7 +37,7 @@ struct HelloMsg {
   std::uint8_t backend = 0;       ///< 0 = Graphene, 1 = rateless IBLT
   std::uint64_t item_count = 0;   ///< client's set size (host open() input)
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -50,7 +50,7 @@ struct ByeMsg {
   std::uint8_t ok = 0;          ///< 1 = set reconciled and certified, 0 = gave up
   std::uint32_t rounds = 0;     ///< client-counted message round trips
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -73,7 +73,7 @@ struct ErrorMsg {
   ErrorCode code = ErrorCode::kProtocol;
   std::string detail;  ///< bounded by util::wire::kMaxDaemonTextBytes
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 

@@ -23,7 +23,7 @@ struct GrapheneBlockMsg {
   bloom::BloomFilter filter_s;
   iblt::Iblt iblt_i;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -41,7 +41,7 @@ struct GrapheneRequestMsg {
   bool reversed = false;
   bloom::BloomFilter filter_r;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -56,7 +56,7 @@ struct GrapheneResponseMsg {
   iblt::Iblt iblt_j;
   std::optional<bloom::BloomFilter> filter_f;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -72,7 +72,7 @@ struct GrapheneResponseMsg {
 /// receiver decoded from an IBLT but holds no transaction for.
 struct RepairRequestMsg {
   std::vector<std::uint64_t> short_ids;
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static RepairRequestMsg deserialize(util::ByteReader& reader);
@@ -80,7 +80,7 @@ struct RepairRequestMsg {
 
 struct RepairResponseMsg {
   std::vector<chain::Transaction> txns;
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static RepairResponseMsg deserialize(util::ByteReader& reader);

@@ -56,8 +56,9 @@ struct ProtocolConfig {
   /// src/obs/). Null (the default) disables instrumentation at the cost of
   /// one branch per stage; not owned, must outlive the engines using it.
   obs::Registry* obs = nullptr;
-  /// Shared worker pool for parallel Algorithm 1 searches and the
-  /// simulator's trial fan-out (see docs/CONCURRENCY.md). Null runs
+  /// Shared worker pool for parallel Algorithm 1 searches, the simulator's
+  /// trial fan-out, and the Sender's two-task filter/IBLT build (see
+  /// docs/CONCURRENCY.md). Null runs
   /// everything serially with identical results; not owned, must outlive
   /// the engines using it. Share ONE pool per process — every engine
   /// holding this config reaches the same workers.

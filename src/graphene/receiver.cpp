@@ -12,7 +12,6 @@
 #include "iblt/pingpong.hpp"
 #include "obs/obs.hpp"
 #include "util/arena.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphene::core {
 
@@ -31,19 +30,17 @@ namespace {
 /// Label value for the per-outcome decode counters.
 const char* status_label(ReceiveStatus status) noexcept { return to_string(status); }
 
-/// Batch-queries `filter` over `ids` (chunk-parallel when `pool` is set);
-/// out[i] = 1 iff ids[i] passes. The hit pattern is identical to querying
-/// one id at a time.
+/// Batch-queries `filter` over `ids`; out[i] = 1 iff ids[i] passes. The hit
+/// pattern is identical to querying one id at a time.
 std::span<const std::uint8_t> scan_ids(const bloom::BloomFilter& filter,
                                        const std::vector<chain::TxId>& ids,
-                                       util::ThreadPool* pool,
                                        util::ScratchScope& scratch) {
   const std::span<util::ByteView> views = scratch.span<util::ByteView>(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     views[i] = util::ByteView(ids[i].data(), ids[i].size());
   }
   const std::span<std::uint8_t> hit = scratch.span<std::uint8_t>(ids.size());
-  bloom::contains_all(filter, views.data(), views.size(), hit.data(), pool);
+  bloom::contains_all(filter, views.data(), views.size(), hit.data());
   return hit;
 }
 
@@ -94,13 +91,13 @@ ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
     obs::ScopedSpan span(reg, "p1_candidates");
     const std::uint64_t queries_before = msg.filter_s.query_count();
     const std::uint64_t hits_before = msg.filter_s.hit_count();
-    // Membership runs through the batch scan (chunk-parallel with a pool);
-    // candidate indexing stays serial and in mempool order, so the session
-    // state matches the one-query-at-a-time loop exactly.
+    // Membership runs through the batch scan; candidate indexing stays in
+    // mempool order, so the session state matches the one-query-at-a-time
+    // loop exactly.
     const std::vector<chain::TxId> ids = mempool_->ids();
     util::ScratchScope scratch;  // session scan scratch, recycled per relay
     const std::span<const std::uint8_t> hit =
-        scan_ids(msg.filter_s, ids, cfg_.pool, scratch);
+        scan_ids(msg.filter_s, ids, scratch);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       if (hit[i] != 0) index_candidate(ids[i]);
     }
@@ -125,9 +122,9 @@ ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
     std::vector<std::uint64_t> sids;
     sids.reserve(candidates_.size());
     for (const chain::TxId& id : candidates_) sids.push_back(sid(id));
-    i_prime.insert_all(sids, cfg_.pool);
+    i_prime.insert_all(sids);
 
-    const iblt::DecodeResult dec = msg.iblt_i.subtract(i_prime, cfg_.pool).decode();
+    const iblt::DecodeResult dec = msg.iblt_i.subtract(i_prime).decode();
     peel_iterations = dec.peel_iterations;
     peeled_items = dec.peeled();
     residual_cells = dec.residual_cells;
@@ -358,7 +355,7 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
     const std::vector<chain::TxId> cand(candidates_.begin(), candidates_.end());
     util::ScratchScope scratch;
     const std::span<const std::uint8_t> hit =
-        scan_ids(*resp.filter_f, cand, cfg_.pool, scratch);
+        scan_ids(*resp.filter_f, cand, scratch);
     for (std::size_t i = 0; i < cand.size(); ++i) {
       if (hit[i] == 0) candidates_.erase(cand[i]);
     }
@@ -377,9 +374,9 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
     std::vector<std::uint64_t> sids;
     sids.reserve(candidates_.size());
     for (const chain::TxId& id : candidates_) sids.push_back(sid(id));
-    j_prime.insert_all(sids, cfg_.pool);
+    j_prime.insert_all(sids);
   }
-  const iblt::Iblt diff_j = resp.iblt_j.subtract(j_prime, cfg_.pool);
+  const iblt::Iblt diff_j = resp.iblt_j.subtract(j_prime);
 
   iblt::DecodeResult dec = diff_j.decode();
   bool used_pingpong = false;
@@ -407,9 +404,9 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
     std::vector<std::uint64_t> sids;
     sids.reserve(candidates_.size());
     for (const chain::TxId& id : candidates_) sids.push_back(sid(id));
-    i_prime.insert_all(sids, cfg_.pool);
+    i_prime.insert_all(sids);
     const iblt::PingPongResult pp =
-        iblt::pingpong_decode(diff_j, msg_.iblt_i.subtract(i_prime, cfg_.pool));
+        iblt::pingpong_decode(diff_j, msg_.iblt_i.subtract(i_prime));
     pingpong_rounds = pp.rounds;
     pp_span.attr("rounds", pp.rounds);
     pp_span.attr("success", pp.success ? 1 : 0);

@@ -20,12 +20,12 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <queue>
 #include <unordered_set>
 #include <vector>
 
 #include "util/bytes.hpp"
-#include "util/simd/simd.hpp"
 
 namespace graphene::iblt {
 
@@ -42,7 +42,16 @@ struct CodedSymbol {
   static constexpr std::size_t kWireBytes = 48;
 
   void apply(const Digest32& d, std::uint64_t chk, std::int64_t dir) noexcept {
-    util::simd::active().xor_bytes(sum.data(), d.data(), d.size());
+    // The sum folds as four u64 words: a fixed-width XOR the compiler keeps
+    // inline, where a per-call kernel dispatch cost more than the XOR.
+    for (std::size_t w = 0; w < sum.size(); w += 8) {
+      std::uint64_t a = 0;
+      std::uint64_t b = 0;
+      std::memcpy(&a, sum.data() + w, 8);
+      std::memcpy(&b, d.data() + w, 8);
+      a ^= b;
+      std::memcpy(sum.data() + w, &a, 8);
+    }
     check ^= chk;
     // Wrapping add: a hostile stream can deliver count = INT64_MIN, and the
     // decoder must keep applying items to the garbage cell until its work
@@ -54,7 +63,13 @@ struct CodedSymbol {
 
   [[nodiscard]] bool is_zero() const noexcept {
     if (count != 0 || check != 0) return false;
-    return util::simd::active().all_zero(sum.data(), sum.size());
+    std::uint64_t acc = 0;
+    for (std::size_t w = 0; w < sum.size(); w += 8) {
+      std::uint64_t a = 0;
+      std::memcpy(&a, sum.data() + w, 8);
+      acc |= a;
+    }
+    return acc == 0;
   }
 };
 

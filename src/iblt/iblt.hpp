@@ -16,10 +16,6 @@
 #include "util/bytes.hpp"
 #include "util/hash.hpp"
 
-namespace graphene::util {
-class ThreadPool;
-}  // namespace graphene::util
-
 namespace graphene::iblt {
 
 /// Tuning parameters: `k` hash functions over `cells` cells (divisible by k).
@@ -68,19 +64,14 @@ class Iblt {
   /// target cells — the batch primitive behind I′/J′ construction.
   void insert_batch(const std::uint64_t* keys, std::size_t count);
 
-  /// Inserts all keys, fanning the work across `pool` for large batches:
-  /// each worker fills a private partial table over a key range and the
-  /// partials merge by count-add/XOR. Both operations are commutative and
-  /// associative, so the resulting cells are bit-identical to a serial
-  /// insert for ANY worker count (the PR-3 determinism contract). A null or
-  /// empty pool — or a small batch — degrades to insert_batch.
-  void insert_all(std::span<const std::uint64_t> keys, util::ThreadPool* pool = nullptr);
+  /// insert_batch() over a span.
+  void insert_all(std::span<const std::uint64_t> keys) {
+    insert_batch(keys.data(), keys.size());
+  }
 
   /// Cell-wise subtraction (this − other). Both tables must share cell
-  /// count, k, and seed; throws std::invalid_argument otherwise. A non-null
-  /// pool splits the cell range across workers (cells are independent, so
-  /// the result is identical for any worker count).
-  [[nodiscard]] Iblt subtract(const Iblt& other, util::ThreadPool* pool = nullptr) const;
+  /// count, k, and seed; throws std::invalid_argument otherwise.
+  [[nodiscard]] Iblt subtract(const Iblt& other) const;
 
   /// Peels this table. Non-destructive (operates on a copy of the cells).
   [[nodiscard]] DecodeResult decode() const;
@@ -98,7 +89,7 @@ class Iblt {
   [[nodiscard]] bool empty() const noexcept;
 
   /// Wire format: varint(cells) | u8(k) | u64(seed) | cells × 16 bytes.
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   [[nodiscard]] std::size_t serialized_size() const noexcept;
@@ -134,10 +125,6 @@ class Iblt {
   /// the naive per-call formulation; this just hoists the key-independent
   /// half of the hash and strength-reduces the `% stride` divide.
   void init_derived() noexcept;
-  /// Cell-wise this += other (count-add, XOR sums); parameter-compatibility
-  /// is the caller's responsibility. Used to fold parallel partial tables.
-  void merge_add(const Iblt& other) noexcept;
-
   std::vector<Cell> cells_;
   std::uint32_t k_ = 4;
   std::uint64_t seed_ = 0;

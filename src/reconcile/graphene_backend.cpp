@@ -9,7 +9,6 @@
 #include "iblt/param_table.hpp"
 #include "iblt/pingpong.hpp"
 #include "reconcile/flight.hpp"
-#include "util/thread_pool.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
 
@@ -52,11 +51,10 @@ struct DigestPass {
     }
   }
 
-  /// hit[i] = 1 iff views[i] passes `filter`; chunk-parallel with a pool.
-  [[nodiscard]] std::vector<std::uint8_t> scan(const bloom::BloomFilter& filter,
-                                               util::ThreadPool* pool) const {
+  /// hit[i] = 1 iff views[i] passes `filter`.
+  [[nodiscard]] std::vector<std::uint8_t> scan(const bloom::BloomFilter& filter) const {
     std::vector<std::uint8_t> hit(views.size());
-    bloom::contains_all(filter, views.data(), views.size(), hit.data(), pool);
+    bloom::contains_all(filter, views.data(), views.size(), hit.data());
     return hit;
   }
 };
@@ -240,7 +238,7 @@ Offer GrapheneHostBackend::make_offer(std::uint64_t client_count) const {
     sids.push_back(sid);
     offer.set_checksum ^= util::mix64(sid);
   }
-  offer.correction.insert_all(sids, cfg_.pool);
+  offer.correction.insert_all(sids);
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "offer", offer,
              {{"count", static_cast<double>(n)},
               {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
@@ -284,7 +282,7 @@ Response GrapheneHostBackend::serve(const Request& request) const {
   passed.reserve(n);
   const DigestPass pass(*items_);
   {
-    const std::vector<std::uint8_t> hit = pass.scan(request.filter, cfg_.pool);
+    const std::vector<std::uint8_t> hit = pass.scan(request.filter);
     for (std::size_t i = 0; i < pass.digests.size(); ++i) {
       if (hit[i] != 0) {
         passed.push_back(pass.digests[i]);
@@ -337,7 +335,7 @@ Response GrapheneHostBackend::serve(const Request& request) const {
   std::vector<std::uint64_t> sids;
   sids.reserve(pass.digests.size());
   for (const ItemDigest* d : pass.digests) sids.push_back(short_id_of(*d, salt_, cfg_));
-  resp.correction.insert_all(sids, cfg_.pool);
+  resp.correction.insert_all(sids);
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "response", resp,
              {{"missing", static_cast<double>(resp.missing.size())},
               {"j_cells", static_cast<double>(resp.correction.cell_count())},
@@ -424,7 +422,7 @@ Outcome GrapheneClientBackend::absorb(const Offer& offer) {
 
   {
     const DigestPass pass(*items_);
-    const std::vector<std::uint8_t> hit = pass.scan(offer.filter, cfg_.pool);
+    const std::vector<std::uint8_t> hit = pass.scan(offer.filter);
     for (std::size_t i = 0; i < pass.digests.size(); ++i) {
       if (hit[i] != 0) index(*pass.digests[i]);
     }
@@ -433,9 +431,9 @@ Outcome GrapheneClientBackend::absorb(const Offer& offer) {
   iblt::Iblt mine(iblt::IbltParams{offer.correction.hash_count(),
                                    offer.correction.cell_count()},
                   offer.correction.seed());
-  mine.insert_all(candidate_sids(), cfg_.pool);
+  mine.insert_all(candidate_sids());
 
-  const iblt::DecodeResult dec = offer.correction.subtract(mine, cfg_.pool).decode();
+  const iblt::DecodeResult dec = offer.correction.subtract(mine).decode();
   Outcome out;
   if (dec.malformed || !dec.success || !dec.positives.empty()) {
     out.status = dec.malformed ? Outcome::Status::kFailed : Outcome::Status::kNeedsRequest;
@@ -491,7 +489,7 @@ Outcome GrapheneClientBackend::complete(const Response& response) {
 
   if (params2_.reversed && response.compensation.has_value()) {
     const DigestPass pass(candidates_);
-    const std::vector<std::uint8_t> hit = pass.scan(*response.compensation, cfg_.pool);
+    const std::vector<std::uint8_t> hit = pass.scan(*response.compensation);
     for (std::size_t i = 0; i < pass.digests.size(); ++i) {
       if (hit[i] == 0) candidates_.erase(*pass.digests[i]);
     }
@@ -501,18 +499,18 @@ Outcome GrapheneClientBackend::complete(const Response& response) {
   iblt::Iblt mine(iblt::IbltParams{response.correction.hash_count(),
                                    response.correction.cell_count()},
                   response.correction.seed());
-  mine.insert_all(candidate_sids(), cfg_.pool);
+  mine.insert_all(candidate_sids());
 
-  const iblt::Iblt diff_j = response.correction.subtract(mine, cfg_.pool);
+  const iblt::Iblt diff_j = response.correction.subtract(mine);
   iblt::DecodeResult dec = diff_j.decode();
   if (!dec.success && !dec.malformed && cfg_.enable_pingpong) {
     // §4.2 ping-pong: the offer's IBLT covers the same item pair.
     iblt::Iblt offer_mine(iblt::IbltParams{offer_.correction.hash_count(),
                                            offer_.correction.cell_count()},
                           offer_.correction.seed());
-    offer_mine.insert_all(candidate_sids(), cfg_.pool);
+    offer_mine.insert_all(candidate_sids());
     const iblt::PingPongResult pp =
-        iblt::pingpong_decode(diff_j, offer_.correction.subtract(offer_mine, cfg_.pool));
+        iblt::pingpong_decode(diff_j, offer_.correction.subtract(offer_mine));
     if (pp.malformed) {
       out.status = Outcome::Status::kFailed;
       return finish(out);

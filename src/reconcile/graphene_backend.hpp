@@ -38,7 +38,7 @@ struct Offer {
   bloom::BloomFilter filter;      ///< S over the full digests
   iblt::Iblt correction;          ///< I over the short IDs
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -56,7 +56,7 @@ struct Request {
   bool reversed = false;
   bloom::BloomFilter filter;  ///< R over the client's candidate digests
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -70,7 +70,7 @@ struct Response {
   iblt::Iblt correction;
   std::optional<bloom::BloomFilter> compensation;  ///< F, reversed path only
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -82,7 +82,7 @@ struct Response {
 /// a digest (they were hidden by R's false positives).
 struct FetchRequest {
   std::vector<std::uint64_t> short_ids;
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static FetchRequest deserialize(util::ByteReader& reader);
@@ -90,7 +90,7 @@ struct FetchRequest {
 
 struct FetchResponse {
   std::vector<ItemDigest> items;
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static FetchResponse deserialize(util::ByteReader& reader);

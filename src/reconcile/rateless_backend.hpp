@@ -36,7 +36,7 @@ struct RatelessChunk {
   std::uint64_t set_checksum = 0;  ///< xor of per-item checksums over the host set
   std::vector<iblt::CodedSymbol> symbols;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 
@@ -49,7 +49,7 @@ struct RatelessNeed {
   std::uint64_t next_index = 0;  ///< first symbol index not yet consumed
   std::uint64_t count = 0;       ///< symbols wanted in the next chunk
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w` (in-place form of serialize()).
 
   void serialize_into(util::ByteWriter& w) const;
 

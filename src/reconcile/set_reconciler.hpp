@@ -115,24 +115,6 @@ struct SyncStats {
     for (const std::size_t b : round_bytes) total += b;
     return total;
   }
-
-  // Legacy per-round accessors, mapped onto the Graphene message sequence
-  // (offer | request response | fetch fetch-response). Kept as thin wrappers
-  // for one release — new code should read round_bytes directly.
-  [[nodiscard]] std::size_t offer_bytes() const noexcept {
-    return round_bytes.empty() ? 0 : round_bytes[0];
-  }
-  [[nodiscard]] std::size_t request_bytes() const noexcept {
-    return used_request_round && round_bytes.size() > 1 ? round_bytes[1] : 0;
-  }
-  [[nodiscard]] std::size_t response_bytes() const noexcept {
-    return used_request_round && round_bytes.size() > 2 ? round_bytes[2] : 0;
-  }
-  [[nodiscard]] std::size_t fetch_bytes() const noexcept {
-    std::size_t total = 0;
-    for (std::size_t i = 3; i < round_bytes.size(); ++i) total += round_bytes[i];
-    return total;
-  }
 };
 
 /// Backend-agnostic driver: opens the session, then relays client requests

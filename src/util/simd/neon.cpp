@@ -9,55 +9,15 @@
 
 #include <arm_neon.h>
 
-#include <cstring>
-
 namespace graphene::util::simd::detail {
 namespace {
 
-constexpr std::uint32_t kBlockMask = 511;
 constexpr std::size_t kCellBytes = 16;
 
-void build_probe_mask(std::uint64_t* mask, std::uint32_t k, std::uint32_t x,
-                      std::uint32_t y) {
-  for (std::uint32_t i = 0; i < k; ++i) {
-    mask[x >> 6] |= (1ULL << (x & 63));
-    x = (x + y) & kBlockMask;
-    y = (y + i + 1) & kBlockMask;
-  }
-}
-
-bool bloom_test_block_neon(const std::uint64_t* block, std::uint32_t k,
-                           std::uint32_t x, std::uint32_t y) {
-  std::uint64_t mask[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  build_probe_mask(mask, k, x, y);
-  // Accumulate (block & mask) ^ mask over the four 128-bit lanes: zero iff
-  // every probed bit is set.
-  uint8x16_t acc = vdupq_n_u8(0);
-  for (int lane = 0; lane < 4; ++lane) {
-    const uint64x2_t b = vld1q_u64(block + 2 * lane);
-    const uint64x2_t m = vld1q_u64(mask + 2 * lane);
-    const uint64x2_t miss = veorq_u64(vandq_u64(b, m), m);
-    acc = vorrq_u8(acc, vreinterpretq_u8_u64(miss));
-  }
-  return vmaxvq_u8(acc) == 0;
-}
-
-void bloom_set_block_neon(std::uint64_t* block, std::uint32_t k,
-                          std::uint32_t x, std::uint32_t y) {
-  std::uint64_t mask[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  build_probe_mask(mask, k, x, y);
-  for (int lane = 0; lane < 4; ++lane) {
-    const uint64x2_t b = vld1q_u64(block + 2 * lane);
-    const uint64x2_t m = vld1q_u64(mask + 2 * lane);
-    vst1q_u64(block + 2 * lane, vorrq_u64(b, m));
-  }
-}
-
-// One 16-byte cell per 128-bit op: XOR everything, add/sub the u32 lanes,
+// One 16-byte cell per 128-bit op: XOR everything, subtract the u32 lanes,
 // then select the count lane (bytes 8..11 = u32 lane 2) from the arithmetic
 // result via a bit-select mask.
-template <bool Add>
-void cells_addsub_neon(void* dst, const void* src, std::size_t n_cells) {
+void cells_sub_neon(void* dst, const void* src, std::size_t n_cells) {
   static const std::uint32_t kCountLane[4] = {0u, 0u, ~0u, 0u};
   const uint8x16_t count_mask = vreinterpretq_u8_u32(vld1q_u32(kCountLane));
   auto* d = static_cast<std::uint8_t*>(dst);
@@ -68,26 +28,9 @@ void cells_addsub_neon(void* dst, const void* src, std::size_t n_cells) {
     const uint8x16_t x = veorq_u8(a, b);
     const uint32x4_t aw = vreinterpretq_u32_u8(a);
     const uint32x4_t bw = vreinterpretq_u32_u8(b);
-    const uint32x4_t m = Add ? vaddq_u32(aw, bw) : vsubq_u32(aw, bw);
+    const uint32x4_t m = vsubq_u32(aw, bw);
     vst1q_u8(d, vbslq_u8(count_mask, vreinterpretq_u8_u32(m), x));
   }
-}
-
-void cells_add_neon(void* dst, const void* src, std::size_t n_cells) {
-  cells_addsub_neon<true>(dst, src, n_cells);
-}
-
-void cells_sub_neon(void* dst, const void* src, std::size_t n_cells) {
-  cells_addsub_neon<false>(dst, src, n_cells);
-}
-
-void xor_bytes_neon(std::uint8_t* dst, const std::uint8_t* src,
-                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, veorq_u8(vld1q_u8(dst + i), vld1q_u8(src + i)));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
 }
 
 bool all_zero_neon(const std::uint8_t* p, std::size_t n) {
@@ -99,24 +42,10 @@ bool all_zero_neon(const std::uint8_t* p, std::size_t n) {
   return vmaxvq_u8(acc) == 0 && tail == 0;
 }
 
-bool bytes_equal_neon(const std::uint8_t* a, const std::uint8_t* b,
-                      std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t diff = veorq_u8(vld1q_u8(a + i), vld1q_u8(b + i));
-    if (vmaxvq_u8(diff) != 0) return false;
-  }
-  return i == n || std::memcmp(a + i, b + i, n - i) == 0;
-}
-
 }  // namespace
 
 const Kernels& neon_kernels() noexcept {
-  static constexpr Kernels kTable{
-      &bloom_test_block_neon, &bloom_set_block_neon, &cells_add_neon,
-      &cells_sub_neon,        &xor_bytes_neon,       &all_zero_neon,
-      &bytes_equal_neon,
-  };
+  static constexpr Kernels kTable{&cells_sub_neon, &all_zero_neon};
   return kTable;
 }
 

@@ -25,35 +25,17 @@ enum class Isa : std::uint8_t {
   kNeon = 2,
 };
 
-/// Function-pointer table for every vectorizable kernel. All pointers are
-/// always non-null; unimplemented ISA slots reuse the portable function.
+/// Function-pointer table for the vectorized kernels. All pointers are
+/// always non-null.
 struct Kernels {
-  /// Blocked-Bloom probe: test the k bits of the 512-bit block at `block`
-  /// (8 little-endian u64 words) visited by the recurrence
-  ///   bit = x; x = (x + y) & 511; y = (y + i + 1) & 511
-  /// for i in [0, k). Returns true iff every probed bit is set. k <= 63.
-  bool (*bloom_test_block)(const std::uint64_t* block, std::uint32_t k,
-                           std::uint32_t x, std::uint32_t y);
-  /// Blocked-Bloom insert: set the same k bits in the block.
-  void (*bloom_set_block)(std::uint64_t* block, std::uint32_t k,
-                          std::uint32_t x, std::uint32_t y);
-
-  /// IBLT cell merge-add: for n 16-byte cells laid out as
+  /// IBLT cell subtract: for n 16-byte cells laid out as
   ///   { u64 key_sum; i32 count; u32 check_sum }  (host representation)
-  /// fold src into dst: key_sum ^= , count += (wrapping), check_sum ^= .
+  /// fold src out of dst: key_sum ^= , count -= (wrapping), check_sum ^= .
   /// dst and src must not partially overlap.
-  void (*cells_add)(void* dst, const void* src, std::size_t n_cells);
-  /// IBLT cell subtract: key_sum ^= , count -= (wrapping), check_sum ^= .
   void (*cells_sub)(void* dst, const void* src, std::size_t n_cells);
 
-  /// dst[i] ^= src[i] for i in [0, n). Used by CodedSymbol::apply digest
-  /// folds. Buffers must not partially overlap.
-  void (*xor_bytes)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
   /// True iff every byte in [p, p+n) is zero.
   bool (*all_zero)(const std::uint8_t* p, std::size_t n);
-  /// True iff the two n-byte buffers are byte-identical.
-  bool (*bytes_equal)(const std::uint8_t* a, const std::uint8_t* b,
-                      std::size_t n);
 };
 
 /// The kernel table selected for this process (env override + CPU probe,

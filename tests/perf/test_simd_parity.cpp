@@ -1,8 +1,7 @@
 // SIMD kernel parity gates: every ISA variant the build carries must be
 // bit-exact against the portable reference table, both at the raw kernel
 // level (random inputs, including unaligned tails and saturating counts) and
-// end-to-end through the containers that call active() (Bloom build/probe,
-// IBLT merge/subtract/serialize, coded-symbol fold).
+// end-to-end through the IBLT, whose subtract and empty() call active().
 //
 // These are exact properties: every gate runs min_rate = 1.0, so one
 // diverging trial fails and prints the shrunk counterexample. On hosts where
@@ -48,58 +47,6 @@ testkit::StatGateSpec exact_spec(const char* name, std::uint32_t trials) {
   return spec;
 }
 
-struct BlockCase {
-  std::array<std::uint64_t, 8> block{};
-  std::uint32_t k = 1;
-  std::uint32_t x = 0;
-  std::uint32_t y = 0;
-};
-
-TEST(SimdParity, BloomBlockKernelsMatchPortable) {
-  const simd::Kernels& ref = simd::kernels_for(simd::Isa::kPortable);
-  for (const simd::Isa isa : vector_isas()) {
-    const simd::Kernels& var = simd::kernels_for(isa);
-    const testkit::GateResult r =
-        testkit::StatGate(exact_spec("simd_bloom_block_parity", 400))
-            .run_cases<BlockCase>(
-                [](util::Rng& rng) {
-                  BlockCase c;
-                  const double density = rng.uniform();
-                  for (auto& w : c.block) {
-                    w = 0;
-                    for (std::uint32_t b = 0; b < 64; ++b) {
-                      if (rng.chance(density)) w |= std::uint64_t{1} << b;
-                    }
-                  }
-                  c.k = 1 + static_cast<std::uint32_t>(rng.below(63));
-                  c.x = static_cast<std::uint32_t>(rng.below(512));
-                  c.y = static_cast<std::uint32_t>(rng.below(512));
-                  return c;
-                },
-                [&](const BlockCase& c, util::Rng&) {
-                  if (ref.bloom_test_block(c.block.data(), c.k, c.x, c.y) !=
-                      var.bloom_test_block(c.block.data(), c.k, c.x, c.y)) {
-                    return false;
-                  }
-                  std::array<std::uint64_t, 8> a = c.block;
-                  std::array<std::uint64_t, 8> b = c.block;
-                  ref.bloom_set_block(a.data(), c.k, c.x, c.y);
-                  var.bloom_set_block(b.data(), c.k, c.x, c.y);
-                  if (a != b) return false;
-                  // After set, a probe with the same coordinates must hit on
-                  // both tables.
-                  return ref.bloom_test_block(a.data(), c.k, c.x, c.y) &&
-                         var.bloom_test_block(a.data(), c.k, c.x, c.y);
-                },
-                [](const BlockCase&) { return std::vector<BlockCase>{}; },
-                [](const BlockCase& c) {
-                  return "k=" + std::to_string(c.k) + " x=" + std::to_string(c.x) +
-                         " y=" + std::to_string(c.y);
-                });
-    GRAPHENE_EXPECT_GATE(r);
-  }
-}
-
 struct CellsCase {
   std::vector<std::uint8_t> dst;  // n_cells * 16 bytes, host cell layout
   std::vector<std::uint8_t> src;
@@ -116,8 +63,8 @@ CellsCase gen_cells_case(util::Rng& rng) {
   for (auto& b : c.dst) b = static_cast<std::uint8_t>(rng.next());
   for (auto& b : c.src) b = static_cast<std::uint8_t>(rng.next());
   if (c.n_cells > 0 && rng.chance(0.2)) {
-    // Force count-lane wraparound: INT_MIN - 1 and INT_MAX + 1 must wrap
-    // identically in both variants (two's-complement add/sub).
+    // Force count-lane wraparound: INT_MIN - 1 and INT_MAX - (-1) must wrap
+    // identically in both variants (two's-complement subtract).
     const std::size_t cell = rng.below(c.n_cells);
     const std::uint32_t extreme = rng.chance(0.5) ? 0x7fffffffU : 0x80000000U;
     std::memcpy(c.dst.data() + cell * 16 + 8, &extreme, 4);
@@ -134,11 +81,6 @@ TEST(SimdParity, IbltCellKernelsMatchPortable) {
             .run_cases<CellsCase>(gen_cells_case, [&](const CellsCase& c, util::Rng&) {
               std::vector<std::uint8_t> a = c.dst;
               std::vector<std::uint8_t> b = c.dst;
-              ref.cells_add(a.data(), c.src.data(), c.n_cells);
-              var.cells_add(b.data(), c.src.data(), c.n_cells);
-              if (a != b) return false;
-              a = c.dst;
-              b = c.dst;
               ref.cells_sub(a.data(), c.src.data(), c.n_cells);
               var.cells_sub(b.data(), c.src.data(), c.n_cells);
               return a == b;
@@ -162,28 +104,18 @@ TEST(SimdParity, IbltCellKernelsMatchPortable) {
   }
 }
 
-struct BytesCase {
-  std::vector<std::uint8_t> a;
-  std::vector<std::uint8_t> b;
-};
-
-BytesCase gen_bytes_case(util::Rng& rng) {
-  BytesCase c;
+/// A buffer for the zero check: mostly zero, so a single nonzero byte at any
+/// offset (vector body or tail) decides the answer.
+std::vector<std::uint8_t> gen_zero_case(util::Rng& rng) {
   // Straddle every tail split of the 32-byte vector width, plus long runs.
-  const std::size_t n = rng.below(200);
-  c.a.resize(n);
-  c.b.resize(n);
-  for (auto& v : c.a) v = static_cast<std::uint8_t>(rng.next());
-  if (rng.chance(0.25)) {
-    c.b = c.a;  // equal buffers: bytes_equal must say true
-  } else if (rng.chance(0.3) && n > 0) {
-    c.b = c.a;  // single-byte flip at a random offset, often in the tail
-    c.b[rng.below(n)] ^= static_cast<std::uint8_t>(1 + rng.below(255));
-  } else {
-    for (auto& v : c.b) v = static_cast<std::uint8_t>(rng.next());
+  std::vector<std::uint8_t> a(rng.below(200), 0);
+  if (a.empty()) return a;
+  if (rng.chance(0.2)) {
+    for (auto& v : a) v = static_cast<std::uint8_t>(rng.next());
+  } else if (rng.chance(0.6)) {
+    a[rng.below(a.size())] = static_cast<std::uint8_t>(1 + rng.below(255));
   }
-  if (rng.chance(0.2)) std::fill(c.a.begin(), c.a.end(), 0);  // all_zero hits
-  return c;
+  return a;
 }
 
 TEST(SimdParity, ByteKernelsMatchPortable) {
@@ -192,37 +124,27 @@ TEST(SimdParity, ByteKernelsMatchPortable) {
     const simd::Kernels& var = simd::kernels_for(isa);
     const testkit::GateResult r =
         testkit::StatGate(exact_spec("simd_bytes_parity", 400))
-            .run_cases<BytesCase>(gen_bytes_case, [&](const BytesCase& c, util::Rng&) {
-              std::vector<std::uint8_t> x = c.a;
-              std::vector<std::uint8_t> y = c.a;
-              ref.xor_bytes(x.data(), c.b.data(), x.size());
-              var.xor_bytes(y.data(), c.b.data(), y.size());
-              if (x != y) return false;
-              if (ref.all_zero(c.a.data(), c.a.size()) !=
-                  var.all_zero(c.a.data(), c.a.size())) {
-                return false;
-              }
-              return ref.bytes_equal(c.a.data(), c.b.data(), c.a.size()) ==
-                     var.bytes_equal(c.a.data(), c.b.data(), c.a.size());
-            },
-            [](const BytesCase& c) {
-              std::vector<BytesCase> out;
-              if (!c.a.empty()) {
-                BytesCase half = c;
-                half.a.resize(c.a.size() / 2);
-                half.b.resize(c.b.size() / 2);
-                out.push_back(std::move(half));
-              }
-              return out;
-            },
-            [](const BytesCase& c) { return "len=" + std::to_string(c.a.size()); });
+            .run_cases<std::vector<std::uint8_t>>(
+                gen_zero_case,
+                [&](const std::vector<std::uint8_t>& a, util::Rng&) {
+                  return ref.all_zero(a.data(), a.size()) ==
+                         var.all_zero(a.data(), a.size());
+                },
+                [](const std::vector<std::uint8_t>& a) {
+                  std::vector<std::vector<std::uint8_t>> out;
+                  if (!a.empty()) out.emplace_back(a.begin(), a.begin() + a.size() / 2);
+                  return out;
+                },
+                [](const std::vector<std::uint8_t>& a) {
+                  return "len=" + std::to_string(a.size());
+                });
     GRAPHENE_EXPECT_GATE(r);
   }
 }
 
-// End-to-end: the containers route through active(), so running the same
-// build/merge/fold under each override must produce identical serialized
-// bytes — the kernels are invisible at the wire.
+// End-to-end: running the same Bloom build, IBLT subtract, and coded-symbol
+// fold under each override must produce identical serialized bytes — the
+// kernel choice is invisible at the wire.
 TEST(SimdParity, ContainersBitExactAcrossIsaOverride) {
   testkit::ScenarioDims dims;
   dims.min_block_txns = 2;
@@ -290,13 +212,8 @@ TEST(SimdParity, DispatchOverrideRestoresAndTablesAreComplete) {
   for (const simd::Isa isa :
        {simd::Isa::kPortable, simd::Isa::kAvx2, simd::Isa::kNeon}) {
     const simd::Kernels& k = simd::kernels_for(isa);
-    EXPECT_NE(k.bloom_test_block, nullptr);
-    EXPECT_NE(k.bloom_set_block, nullptr);
-    EXPECT_NE(k.cells_add, nullptr);
     EXPECT_NE(k.cells_sub, nullptr);
-    EXPECT_NE(k.xor_bytes, nullptr);
     EXPECT_NE(k.all_zero, nullptr);
-    EXPECT_NE(k.bytes_equal, nullptr);
     EXPECT_NE(simd::isa_name(isa), nullptr);
   }
 }

@@ -1,24 +1,15 @@
-// Zero-copy wire pins.
+// serialize_into() pins.
 //
-// Three properties hold the scatter-writer / borrow-reader machinery to the
-// copying paths it replaces:
-//   1. serialize_into() into a shared writer is byte-identical to the
-//      legacy serialize()-and-concatenate path, for every wire type;
-//   2. begin_frame/end_frame scatter framing and encode_frame_into produce
-//      exactly encode_frame()'s bytes, including mid-buffer appends;
-//   3. every views::*View::parse accepts a byte string iff the copying
-//      deserializer does (GolombSet excepted, where the view is a documented
-//      structural superset), consumes the same extent, borrows spans that
-//      alias the input, and materialize() round-trips to equal objects.
-// Property 3 is swept across every truncated prefix of each wire form, which
-// is also what drives the src/net coverage floor through views.cpp's error
-// branches.
+// Every wire type has an append-onto-a-writer form, serialize_into(), which
+// serialize() and the nested container encodings build on. Two properties
+// hold it to the standalone encodings:
+//   1. serialize_into() into a shared writer is byte-identical to
+//      serialize()-and-concatenate, for every wire type;
+//   2. encode_frame_into() appends exactly encode_frame()'s bytes onto a
+//      send queue, and ByteWriter adoption keeps the queue's prefix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
@@ -28,21 +19,15 @@
 #include "daemon/wire.hpp"
 #include "graphene/messages.hpp"
 #include "iblt/iblt.hpp"
-#include "iblt/kv_iblt.hpp"
 #include "iblt/strata_estimator.hpp"
 #include "net/frame.hpp"
-#include "net/views.hpp"
 #include "reconcile/graphene_backend.hpp"
 #include "reconcile/rateless_backend.hpp"
 #include "util/bytes.hpp"
 #include "util/random.hpp"
-#include "util/varint.hpp"
-#include "util/wire_limits.hpp"
 
 namespace graphene {
 namespace {
-
-using net::views::FrameView;
 
 util::ByteView bv(const util::Bytes& b) { return util::ByteView(b); }
 
@@ -115,9 +100,9 @@ reconcile::RatelessChunk make_chunk() {
 // --- property 1: serialize_into == serialize ---------------------------------
 
 template <typename T>
-void expect_scatter_identical(const T& value) {
+void expect_into_matches_serialize(const T& value) {
   // Seed the writer with a nonzero prefix so offset-sensitive bugs (absolute
-  // positions leaking into the scatter path) can't hide at offset zero.
+  // positions leaking into serialize_into) can't hide at offset zero.
   util::ByteWriter w;
   w.u32(0xdeadbeef);
   value.serialize_into(w);
@@ -132,31 +117,25 @@ void expect_scatter_identical(const T& value) {
 }
 
 TEST(ZeroCopyWrite, SerializeIntoMatchesSerializeForEveryType) {
-  expect_scatter_identical(make_bloom(bloom::HashStrategy::kSplitDigest));
-  expect_scatter_identical(make_bloom(bloom::HashStrategy::kBlocked));
-  expect_scatter_identical(make_iblt());
+  expect_into_matches_serialize(make_bloom(bloom::HashStrategy::kSplitDigest));
+  expect_into_matches_serialize(make_bloom(bloom::HashStrategy::kBlocked));
+  expect_into_matches_serialize(make_iblt());
   {
     const std::vector<util::Bytes> digests = {util::Bytes(32, 0x11),
                                               util::Bytes(32, 0x22)};
-    expect_scatter_identical(bloom::GolombSet(digests, 0.01, 5));
+    expect_into_matches_serialize(bloom::GolombSet(digests, 0.01, 5));
   }
   {
     bloom::CuckooFilter f(64, 0.02, 3);
     util::Bytes id(32, 0x33);
     f.insert(bv(id));
-    expect_scatter_identical(f);
-  }
-  {
-    iblt::KvIblt kv(3, 12, 5);
-    kv.insert(1, 100);
-    kv.insert(2, 200);
-    expect_scatter_identical(kv);
+    expect_into_matches_serialize(f);
   }
   {
     iblt::StrataEstimator est(77);
-    expect_scatter_identical(est);
+    expect_into_matches_serialize(est);
   }
-  expect_scatter_identical(make_block_msg());
+  expect_into_matches_serialize(make_block_msg());
   {
     core::GrapheneRequestMsg req;
     req.z = 12;
@@ -165,16 +144,16 @@ TEST(ZeroCopyWrite, SerializeIntoMatchesSerializeForEveryType) {
     req.fpr_r = 0.125;
     req.reversed = true;
     req.filter_r = make_bloom(bloom::HashStrategy::kRehash);
-    expect_scatter_identical(req);
+    expect_into_matches_serialize(req);
   }
-  expect_scatter_identical(make_response_msg());
+  expect_into_matches_serialize(make_response_msg());
   {
     core::RepairRequestMsg req;
     req.short_ids = {1, 2, 3};
-    expect_scatter_identical(req);
+    expect_into_matches_serialize(req);
     core::RepairResponseMsg resp;
     resp.txns.push_back(make_tx(0x04, 80));
-    expect_scatter_identical(resp);
+    expect_into_matches_serialize(resp);
   }
   {
     reconcile::Offer offer;
@@ -183,7 +162,7 @@ TEST(ZeroCopyWrite, SerializeIntoMatchesSerializeForEveryType) {
     offer.set_checksum = 2;
     offer.filter = make_bloom(bloom::HashStrategy::kSplitDigest);
     offer.correction = make_iblt();
-    expect_scatter_identical(offer);
+    expect_into_matches_serialize(offer);
 
     reconcile::Request req;
     req.candidate_count = 9;
@@ -191,7 +170,7 @@ TEST(ZeroCopyWrite, SerializeIntoMatchesSerializeForEveryType) {
     req.y_star = 3;
     req.fpr_r = 0.5;
     req.filter = make_bloom(bloom::HashStrategy::kRehash);
-    expect_scatter_identical(req);
+    expect_into_matches_serialize(req);
 
     reconcile::Response resp;
     reconcile::ItemDigest d{};
@@ -199,55 +178,41 @@ TEST(ZeroCopyWrite, SerializeIntoMatchesSerializeForEveryType) {
     resp.missing.push_back(d);
     resp.correction = make_iblt();
     resp.compensation = make_bloom(bloom::HashStrategy::kSplitDigest);
-    expect_scatter_identical(resp);
+    expect_into_matches_serialize(resp);
 
     reconcile::FetchRequest freq;
     freq.short_ids = {7, 8};
-    expect_scatter_identical(freq);
+    expect_into_matches_serialize(freq);
 
     reconcile::FetchResponse fresp;
     fresp.items.push_back(d);
-    expect_scatter_identical(fresp);
+    expect_into_matches_serialize(fresp);
   }
-  expect_scatter_identical(make_chunk());
+  expect_into_matches_serialize(make_chunk());
   {
     reconcile::RatelessNeed need;
     need.next_index = 40;
     need.count = 8;
-    expect_scatter_identical(need);
+    expect_into_matches_serialize(need);
   }
   {
     daemon::HelloMsg hello;
     hello.version = 1;
     hello.backend = 1;
     hello.item_count = 5000;
-    expect_scatter_identical(hello);
+    expect_into_matches_serialize(hello);
     daemon::ByeMsg bye;
     bye.ok = 1;
     bye.rounds = 3;
-    expect_scatter_identical(bye);
+    expect_into_matches_serialize(bye);
     daemon::ErrorMsg err;
     err.code = daemon::ErrorCode::kLimit;
     err.detail = "cap exceeded";
-    expect_scatter_identical(err);
+    expect_into_matches_serialize(err);
   }
 }
 
-// --- property 2: scatter framing == encode_frame -----------------------------
-
-TEST(ZeroCopyWrite, ScatterFramingMatchesEncodeFrame) {
-  const core::GrapheneBlockMsg msg = make_block_msg();
-  net::Message wire;
-  wire.type = net::MessageType::kGrapheneBlock;
-  wire.payload = msg.serialize();
-  const util::Bytes want = net::encode_frame(wire);
-
-  util::ByteWriter w;
-  const net::FramePatch patch = net::begin_frame(w, net::MessageType::kGrapheneBlock);
-  msg.serialize_into(w);
-  net::end_frame(w, patch);
-  EXPECT_EQ(w.take(), want);
-}
+// --- property 2: framing onto a send queue ------------------------------------
 
 TEST(ZeroCopyWrite, EncodeFrameIntoAppendsInPlace) {
   net::Message a;
@@ -267,363 +232,21 @@ TEST(ZeroCopyWrite, EncodeFrameIntoAppendsInPlace) {
   EXPECT_EQ(queue, want);
 }
 
-TEST(ZeroCopyWrite, EndFrameEnforcesPayloadCap) {
+TEST(ZeroCopyWrite, ByteWriterAdoptKeepsPrefix) {
   util::ByteWriter w;
-  const net::FramePatch patch = net::begin_frame(w, net::MessageType::kDaemonBye);
-  for (int i = 0; i < 100; ++i) w.u8(0);
-  EXPECT_THROW(net::end_frame(w, patch, /*max_payload=*/64), util::DeserializeError);
-}
-
-TEST(ZeroCopyWrite, ByteWriterPatchAndAdopt) {
-  util::ByteWriter w;
-  w.u32(0);
+  w.u32(0xa0b0c0d0);
   w.u64(0x1122334455667788ULL);
-  w.patch_u32(0, 0xa0b0c0d0);
   util::Bytes first = w.take();
-  {
-    util::ByteReader r(bv(first));
-    EXPECT_EQ(r.u32(), 0xa0b0c0d0);
-    EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
-  }
 
-  // Adopt-and-take must preserve the existing prefix.
   util::ByteWriter adopted(std::move(first));
   adopted.u8(0x5a);
   const util::Bytes out = adopted.take();
   ASSERT_EQ(out.size(), 13u);
-  EXPECT_EQ(out.back(), 0x5a);
-
-  // Out-of-range patches are a caller bug and must throw, not scribble.
-  util::ByteWriter bad;
-  bad.u8(1);
-  EXPECT_THROW(bad.patch_u32(0, 1), std::out_of_range);
-  EXPECT_THROW(bad.patch_raw(2, bv(out)), std::out_of_range);
-}
-
-// --- property 3: views vs copying deserializers ------------------------------
-
-/// Outcome of one parse attempt: accepted extent, or rejection.
-struct ParseOutcome {
-  bool ok = false;
-  std::size_t consumed = 0;
-};
-
-using ParseFn = std::function<ParseOutcome(util::ByteView)>;
-
-template <typename F>
-ParseFn outcome_of(F parse) {
-  return [parse](util::ByteView data) {
-    util::ByteReader r(data);
-    ParseOutcome out;
-    try {
-      parse(r);
-      out.ok = true;
-      out.consumed = data.size() - r.tail().size();
-    } catch (const util::DeserializeError&) {
-      out.ok = false;
-    }
-    return out;
-  };
-}
-
-/// Sweeps every prefix of `wire`: the view must accept iff the copying path
-/// does (exact twin) and consume the identical extent on acceptance.
-void expect_exact_twin(const util::Bytes& wire, const ParseFn& view_parse,
-                       const ParseFn& copy_parse, const std::string& what) {
-  for (std::size_t len = 0; len <= wire.size(); ++len) {
-    const util::ByteView prefix = bv(wire).first(len);
-    const ParseOutcome v = view_parse(prefix);
-    const ParseOutcome c = copy_parse(prefix);
-    ASSERT_EQ(v.ok, c.ok) << what << ": accept/reject diverged at prefix " << len;
-    if (v.ok) {
-      ASSERT_EQ(v.consumed, c.consumed)
-          << what << ": extent diverged at prefix " << len;
-    }
-  }
-}
-
-template <typename View, typename Copy>
-void check_view_type(const util::Bytes& wire, const std::string& what, Copy copy) {
-  expect_exact_twin(
-      wire, outcome_of([](util::ByteReader& r) { (void)View::parse(r); }),
-      outcome_of(copy), what);
-
-  // On the full buffer: spans alias the input and materialize() rebuilds the
-  // same bytes the copying deserializer consumes.
-  util::ByteReader r(bv(wire));
-  const View v = View::parse(r);
-  ASSERT_GE(v.span.data(), wire.data());
-  ASSERT_LE(v.span.data() + v.span.size(), wire.data() + wire.size());
-  EXPECT_EQ(v.span.size(), wire.size() - r.tail().size()) << what;
-  EXPECT_EQ(v.materialize().serialize(), wire) << what;
-}
-
-TEST(ZeroCopyRead, BloomFilterViewIsExactTwin) {
-  for (const bloom::HashStrategy s :
-       {bloom::HashStrategy::kSplitDigest, bloom::HashStrategy::kRehash,
-        bloom::HashStrategy::kBlocked}) {
-    check_view_type<net::views::BloomFilterView>(
-        make_bloom(s).serialize(), "BloomFilterView",
-        [](util::ByteReader& r) { (void)bloom::BloomFilter::deserialize(r); });
-  }
-}
-
-TEST(ZeroCopyRead, ContainerViewsAreExactTwins) {
-  check_view_type<net::views::IbltView>(
-      make_iblt().serialize(), "IbltView",
-      [](util::ByteReader& r) { (void)iblt::Iblt::deserialize(r); });
-  {
-    iblt::KvIblt kv(3, 12, 5);
-    kv.insert(1, 100);
-    kv.insert(2, 200);
-    check_view_type<net::views::KvIbltView>(
-        kv.serialize(), "KvIbltView",
-        [](util::ByteReader& r) { (void)iblt::KvIblt::deserialize(r); });
-  }
-  {
-    bloom::CuckooFilter f(64, 0.02, 3);
-    util::Bytes id(32, 0x33);
-    f.insert(bv(id));
-    check_view_type<net::views::CuckooFilterView>(
-        f.serialize(), "CuckooFilterView",
-        [](util::ByteReader& r) { (void)bloom::CuckooFilter::deserialize(r); });
-  }
-  {
-    iblt::StrataEstimator est(77);
-    check_view_type<net::views::StrataEstimatorView>(
-        est.serialize(), "StrataEstimatorView",
-        [](util::ByteReader& r) { (void)iblt::StrataEstimator::deserialize(r); });
-  }
-}
-
-// GolombSet is the one documented exception: the view validates structure
-// only, so view-accept is a superset of copy-accept, but whenever the copying
-// path accepts, the view must too, with the same extent.
-TEST(ZeroCopyRead, GolombSetViewIsStructuralSuperset) {
-  const std::vector<util::Bytes> digests = {
-      util::Bytes(32, 0x11), util::Bytes(32, 0x22), util::Bytes(32, 0x33)};
-  const bloom::GolombSet g(digests, 0.01, 5);
-  const util::Bytes wire = g.serialize();
-
-  const ParseFn view_parse =
-      outcome_of([](util::ByteReader& r) { (void)net::views::GolombSetView::parse(r); });
-  const ParseFn copy_parse =
-      outcome_of([](util::ByteReader& r) { (void)bloom::GolombSet::deserialize(r); });
-  for (std::size_t len = 0; len <= wire.size(); ++len) {
-    const util::ByteView prefix = bv(wire).first(len);
-    const ParseOutcome v = view_parse(prefix);
-    const ParseOutcome c2 = copy_parse(prefix);
-    if (c2.ok) {
-      ASSERT_TRUE(v.ok) << "GolombSetView rejected copy-accepted prefix " << len;
-      ASSERT_EQ(v.consumed, c2.consumed);
-    }
-  }
-
-  util::ByteReader r(bv(wire));
-  const auto v = net::views::GolombSetView::parse(r);
-  EXPECT_EQ(v.materialize().serialize(), wire);
-}
-
-TEST(ZeroCopyRead, ProtocolMessageViewsAreExactTwins) {
-  check_view_type<net::views::GrapheneBlockMsgView>(
-      make_block_msg().serialize(), "GrapheneBlockMsgView",
-      [](util::ByteReader& r) { (void)core::GrapheneBlockMsg::deserialize(r); });
-  {
-    core::GrapheneRequestMsg req;
-    req.z = 12;
-    req.b = 3;
-    req.y_star = 4;
-    req.fpr_r = 0.125;
-    req.reversed = true;
-    req.filter_r = make_bloom(bloom::HashStrategy::kRehash);
-    check_view_type<net::views::GrapheneRequestMsgView>(
-        req.serialize(), "GrapheneRequestMsgView",
-        [](util::ByteReader& r) { (void)core::GrapheneRequestMsg::deserialize(r); });
-  }
-  check_view_type<net::views::GrapheneResponseMsgView>(
-      make_response_msg().serialize(), "GrapheneResponseMsgView",
-      [](util::ByteReader& r) { (void)core::GrapheneResponseMsg::deserialize(r); });
-  {
-    core::RepairRequestMsg req;
-    req.short_ids = {1, 2, 3};
-    check_view_type<net::views::RepairRequestMsgView>(
-        req.serialize(), "RepairRequestMsgView",
-        [](util::ByteReader& r) { (void)core::RepairRequestMsg::deserialize(r); });
-  }
-  {
-    core::RepairResponseMsg resp;
-    resp.txns.push_back(make_tx(0x04, 80));
-    check_view_type<net::views::RepairResponseMsgView>(
-        resp.serialize(), "RepairResponseMsgView",
-        [](util::ByteReader& r) { (void)core::RepairResponseMsg::deserialize(r); });
-  }
-}
-
-TEST(ZeroCopyRead, ReconcileViewsAreExactTwins) {
-  {
-    reconcile::Offer offer;
-    offer.count = 50;
-    offer.salt = 1;
-    offer.set_checksum = 2;
-    offer.filter = make_bloom(bloom::HashStrategy::kSplitDigest);
-    offer.correction = make_iblt();
-    check_view_type<net::views::OfferView>(
-        offer.serialize(), "OfferView",
-        [](util::ByteReader& r) { (void)reconcile::Offer::deserialize(r); });
-  }
-  {
-    reconcile::Request req;
-    req.candidate_count = 9;
-    req.b = 2;
-    req.y_star = 3;
-    req.fpr_r = 0.5;
-    req.filter = make_bloom(bloom::HashStrategy::kRehash);
-    check_view_type<net::views::RequestView>(
-        req.serialize(), "RequestView",
-        [](util::ByteReader& r) { (void)reconcile::Request::deserialize(r); });
-  }
-  {
-    reconcile::Response resp;
-    reconcile::ItemDigest d{};
-    d.fill(0x44);
-    resp.missing.push_back(d);
-    resp.correction = make_iblt();
-    resp.compensation = make_bloom(bloom::HashStrategy::kSplitDigest);
-    check_view_type<net::views::ResponseView>(
-        resp.serialize(), "ResponseView",
-        [](util::ByteReader& r) { (void)reconcile::Response::deserialize(r); });
-  }
-  {
-    reconcile::FetchRequest req;
-    req.short_ids = {7, 8};
-    check_view_type<net::views::FetchRequestView>(
-        req.serialize(), "FetchRequestView",
-        [](util::ByteReader& r) { (void)reconcile::FetchRequest::deserialize(r); });
-  }
-  {
-    reconcile::FetchResponse resp;
-    reconcile::ItemDigest d{};
-    d.fill(0x45);
-    resp.items.push_back(d);
-    check_view_type<net::views::FetchResponseView>(
-        resp.serialize(), "FetchResponseView",
-        [](util::ByteReader& r) { (void)reconcile::FetchResponse::deserialize(r); });
-  }
-  check_view_type<net::views::RatelessChunkView>(
-      make_chunk().serialize(), "RatelessChunkView",
-      [](util::ByteReader& r) { (void)reconcile::RatelessChunk::deserialize(r); });
-  {
-    reconcile::RatelessNeed need;
-    need.next_index = 40;
-    need.count = 8;
-    check_view_type<net::views::RatelessNeedView>(
-        need.serialize(), "RatelessNeedView",
-        [](util::ByteReader& r) { (void)reconcile::RatelessNeed::deserialize(r); });
-  }
-}
-
-TEST(ZeroCopyRead, DaemonViewsAreExactTwins) {
-  check_view_type<net::views::HelloMsgView>(
-      daemon::HelloMsg{1, 1, 5000}.serialize(), "HelloMsgView",
-      [](util::ByteReader& r) { (void)daemon::HelloMsg::deserialize(r); });
-  check_view_type<net::views::ByeMsgView>(
-      daemon::ByeMsg{1, 3}.serialize(), "ByeMsgView",
-      [](util::ByteReader& r) { (void)daemon::ByeMsg::deserialize(r); });
-  {
-    daemon::ErrorMsg err;
-    err.code = daemon::ErrorCode::kMalformed;
-    err.detail = "boom";
-    check_view_type<net::views::ErrorMsgView>(
-        err.serialize(), "ErrorMsgView",
-        [](util::ByteReader& r) { (void)daemon::ErrorMsg::deserialize(r); });
-  }
-}
-
-// Malformed-input spot checks: the mutations tests/net/test_malformed.cpp
-// aims at the copying paths must be rejected identically by the views.
-TEST(ZeroCopyRead, ViewsRejectCanonicalMalformations) {
-  // Non-canonical presence flag.
-  {
-    util::Bytes wire = make_response_msg().serialize();
-    wire[wire.size() - make_bloom(bloom::HashStrategy::kRehash).serialize().size() - 1] =
-        2;
-    util::ByteReader vr(bv(wire));
-    EXPECT_THROW((void)net::views::GrapheneResponseMsgView::parse(vr),
-                 util::DeserializeError);
-    util::ByteReader cr(bv(wire));
-    EXPECT_THROW((void)core::GrapheneResponseMsg::deserialize(cr),
-                 util::DeserializeError);
-  }
-  // Bloom hash count of zero.
-  {
-    util::Bytes wire = make_bloom(bloom::HashStrategy::kSplitDigest).serialize();
-    util::ByteReader probe(bv(wire));
-    (void)util::read_varint_bounded(probe, util::wire::kMaxBloomBits, "probe");
-    const std::size_t k_at = wire.size() - probe.remaining();
-    wire[k_at] = 0;
-    util::ByteReader vr(bv(wire));
-    EXPECT_THROW((void)net::views::BloomFilterView::parse(vr), util::DeserializeError);
-    util::ByteReader cr(bv(wire));
-    EXPECT_THROW((void)bloom::BloomFilter::deserialize(cr), util::DeserializeError);
-  }
-  // IBLT cell count not a multiple of k.
-  {
-    iblt::Iblt t(iblt::IbltParams{4, 24}, 9);
-    util::Bytes wire = t.serialize();
-    wire[0] = 25;  // single-byte varint: 25 % 4 != 0
-    util::ByteReader vr(bv(wire));
-    EXPECT_THROW((void)net::views::IbltView::parse(vr), util::DeserializeError);
-    util::ByteReader cr(bv(wire));
-    EXPECT_THROW((void)iblt::Iblt::deserialize(cr), util::DeserializeError);
-  }
-}
-
-// --- FrameView ---------------------------------------------------------------
-
-TEST(ZeroCopyRead, FrameViewMatchesFrameReader) {
-  net::Message msg;
-  msg.type = net::MessageType::kDaemonHello;
-  msg.payload = daemon::HelloMsg{1, 0, 42}.serialize();
-  const util::Bytes wire = net::encode_frame(msg);
-
-  const std::optional<FrameView> v = FrameView::parse(bv(wire));
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->type, msg.type);
-  EXPECT_EQ(v->span.size(), wire.size());
-  EXPECT_TRUE(util::equal(v->payload, bv(msg.payload)));
-  const net::Message back = v->materialize();
-  EXPECT_EQ(back.type, msg.type);
-  EXPECT_EQ(back.payload, msg.payload);
-
-  // Truncations anywhere return nullopt (need more bytes), never throw.
-  for (std::size_t len = 0; len < wire.size(); ++len) {
-    EXPECT_FALSE(FrameView::parse(bv(wire).first(len)).has_value()) << len;
-  }
-
-  // Trailing bytes beyond the frame are ignored: the span still covers
-  // exactly one frame (stream decoding peels them one at a time).
-  util::Bytes doubled = wire;
-  doubled.insert(doubled.end(), wire.begin(), wire.end());
-  const std::optional<FrameView> first = FrameView::parse(bv(doubled));
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->span.size(), wire.size());
-
-  // Corruptions throw exactly like FrameReader::next().
-  util::Bytes bad = wire;
-  bad[0] ^= 0xff;  // magic
-  EXPECT_THROW((void)FrameView::parse(bv(bad)), util::DeserializeError);
-  bad = wire;
-  bad[4] = 0xff;  // command not NUL-padded / unknown
-  EXPECT_THROW((void)FrameView::parse(bv(bad)), util::DeserializeError);
-  bad = wire;
-  bad[bad.size() - 1] ^= 0x01;  // payload corruption -> checksum mismatch
-  EXPECT_THROW((void)FrameView::parse(bv(bad)), util::DeserializeError);
-  bad = wire;
-  bad[16] = 0xff;  // length field beyond cap
-  bad[17] = 0xff;
-  bad[18] = 0xff;
-  bad[19] = 0xff;
-  EXPECT_THROW((void)FrameView::parse(bv(bad)), util::DeserializeError);
+  util::ByteReader r(bv(out));
+  EXPECT_EQ(r.u32(), 0xa0b0c0d0);
+  EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
+  EXPECT_EQ(r.u8(), 0x5a);
+  EXPECT_TRUE(r.done());
 }
 
 }  // namespace

@@ -285,75 +285,6 @@ int main(int argc, char** argv) {
     emit("fuzz_frame", "seed-rateless-stream", prefix_byte(41, rstream));
   }
 
-  // Zero-copy differential reader: first byte routes among the wire types
-  // (see fuzz_zero_copy_reader.cpp's switch). One accepting seed per
-  // representative route so the fuzzer starts inside every parser family.
-  // Own Rng so inserting this section left every older seed byte-identical.
-  {
-    util::Rng zc_rng(0x2e20c0de);
-    emit("fuzz_zero_copy_reader", "seed-bloom",
-         prefix_byte(0, sample_filter(zc_rng, 60, 0.02).serialize()));
-    emit("fuzz_zero_copy_reader", "seed-bloom-blocked",
-         prefix_byte(0,
-                     sample_filter(zc_rng, 60, 0.02, bloom::HashStrategy::kBlocked)
-                         .serialize()));
-    {
-      std::vector<util::Bytes> digests;
-      for (int i = 0; i < 40; ++i) {
-        const auto id = chain::make_random_transaction(zc_rng).id;
-        digests.emplace_back(id.begin(), id.end());
-      }
-      emit("fuzz_zero_copy_reader", "seed-golomb",
-           prefix_byte(1, bloom::GolombSet(digests, 0.01, zc_rng.next()).serialize()));
-    }
-    emit("fuzz_zero_copy_reader", "seed-iblt",
-         prefix_byte(3, sample_iblt(zc_rng, 4, 32, 10).serialize()));
-
-    core::GrapheneBlockMsg blk;
-    blk.n = 30;
-    blk.shortid_salt = zc_rng.next();
-    blk.filter_s = sample_filter(zc_rng, 30, 0.02);
-    blk.iblt_i = sample_iblt(zc_rng, 4, 16, 4);
-    emit("fuzz_zero_copy_reader", "seed-block-msg", prefix_byte(6, blk.serialize()));
-
-    core::GrapheneResponseMsg resp;
-    resp.missing = sample_txs(zc_rng, 3);
-    resp.iblt_j = sample_iblt(zc_rng, 4, 24, 5);
-    resp.filter_f = sample_filter(zc_rng, 40, 0.1);
-    emit("fuzz_zero_copy_reader", "seed-response-msg", prefix_byte(8, resp.serialize()));
-
-    reconcile::Offer offer;
-    offer.count = 50;
-    offer.salt = zc_rng.next();
-    offer.set_checksum = zc_rng.next();
-    offer.filter = sample_filter(zc_rng, 50, 0.02);
-    offer.correction = sample_iblt(zc_rng, 4, 16, 6);
-    emit("fuzz_zero_copy_reader", "seed-offer", prefix_byte(11, offer.serialize()));
-
-    reconcile::RatelessChunk chunk;
-    chunk.start = 0;
-    chunk.host_count = 20;
-    chunk.salt = zc_rng.next();
-    iblt::RatelessEncoder enc(chunk.salt);
-    for (int i = 0; i < 20; ++i) {
-      const auto id = chain::make_random_transaction(zc_rng).id;
-      reconcile::ItemDigest d;
-      std::copy(id.begin(), id.end(), d.begin());
-      enc.add_item(d);
-    }
-    chunk.set_checksum = enc.set_checksum();
-    for (int i = 0; i < 8; ++i) chunk.symbols.push_back(enc.next_symbol());
-    emit("fuzz_zero_copy_reader", "seed-chunk", prefix_byte(16, chunk.serialize()));
-
-    daemon::HelloMsg hello;
-    hello.backend = 0;
-    hello.item_count = 25;
-    emit("fuzz_zero_copy_reader", "seed-hello", prefix_byte(18, hello.serialize()));
-    emit("fuzz_zero_copy_reader", "seed-frame",
-         prefix_byte(21, net::encode_frame(net::Message{net::MessageType::kDaemonHello,
-                                                        hello.serialize()})));
-  }
-
   // roundtrip consumes a parameter stream, not wire bytes: raw entropy seeds.
   {
     util::ByteWriter w;
