@@ -16,22 +16,37 @@
 // portable-vs-best-ISA over large buffers via kernels_for(), reported as
 // bytes/s + speedup.
 //
+// A rateless section times one reconcile session's coded-symbol work — the
+// host's 500-item, 128-symbol encode and the client's decode of an
+// 80-element difference — item-major library against a seed replica of the
+// heap-scheduled encoder and decoder, per session and per difference
+// element (the unit arXiv 2402.02668 reports).
+//
 // Every variant's results are cross-checked (hit counts per strategy, cell
-// bytes across build paths, kernel outputs portable-vs-SIMD) and the process
-// exits nonzero on any divergence, so CI smoke runs double as a parity gate.
+// bytes across build paths, kernel outputs portable-vs-SIMD, coded symbols
+// and decoder results across rateless paths) and the process exits nonzero
+// on any divergence, so CI smoke runs double as a parity gate.
 // Writes BENCH_hotpath.json (overwritten each run); GRAPHENE_FAST=1 drops
 // the 1M scale for smoke runs.
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <queue>
+#include <span>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
 #include "bloom/bloom_math.hpp"
 #include "chain/transaction.hpp"
+#include "iblt/coded_symbol.hpp"
 #include "iblt/iblt.hpp"
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
@@ -144,6 +159,136 @@ struct SeedIblt {
       cell.count = static_cast<std::int32_t>(static_cast<std::uint32_t>(cell.count) + 1u);
       cell.key_sum ^= key;
       cell.check_sum ^= check;
+    }
+  }
+};
+
+// --- Seed-replica heap-scheduled rateless encoder and decoder -------------
+// The coded-symbol stream before the item-major prefix: a min-heap on each
+// item's next index pops every item due at the current symbol. The decoder
+// subtracted its local set through the same kind of heap, one checked cell
+// update per local participant, and otherwise peels exactly as the library.
+struct SeedWindow {
+  struct Item {
+    iblt::Digest32 digest;
+    std::uint64_t check;
+    iblt::IndexMapper mapper;
+  };
+  using Entry = std::pair<std::uint64_t, std::uint32_t>;  ///< (next index, item)
+  std::vector<Item> items;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+
+  void add(Item item) {
+    heap.emplace(item.mapper.current(), static_cast<std::uint32_t>(items.size()));
+    items.push_back(item);
+  }
+  void add(const iblt::Digest32& d, std::uint64_t salt) {
+    add({d, iblt::coded_symbol_check(d, salt),
+         iblt::IndexMapper(iblt::coded_symbol_map_seed(d, salt))});
+  }
+  /// Pops every item due at `index`, hands it to `fn` and advances it.
+  template <typename Fn>
+  void drain(std::uint64_t index, Fn&& fn) {
+    while (!heap.empty() && heap.top().first == index) {
+      const std::uint32_t id = heap.top().second;
+      heap.pop();
+      Item& item = items[id];
+      fn(item);
+      heap.emplace(item.mapper.next(), id);
+    }
+  }
+};
+
+struct SeedRatelessEncoder {
+  std::uint64_t salt;
+  SeedWindow window;
+  std::uint64_t next = 0;
+
+  explicit SeedRatelessEncoder(std::uint64_t s) : salt(s) {}
+  void add_item(const iblt::Digest32& d) { window.add(d, salt); }
+  iblt::CodedSymbol next_symbol() {
+    iblt::CodedSymbol out;
+    window.drain(next++, [&](const SeedWindow::Item& it) { out.apply(it.digest, it.check, +1); });
+    return out;
+  }
+};
+
+struct SeedRatelessDecoder {
+  std::uint64_t salt;
+  std::vector<iblt::CodedSymbol> cells;
+  SeedWindow local, rec_pos, rec_neg;
+  std::vector<std::uint64_t> worklist;
+  std::vector<iblt::Digest32> positives, negatives;
+  std::unordered_set<std::uint64_t> peeled_keys;
+  std::uint64_t received = 0, nonzero = 0, ops = 0;
+  bool malformed = false;
+
+  explicit SeedRatelessDecoder(std::uint64_t s) : salt(s) {}
+  [[nodiscard]] bool decoded() const { return received > 0 && nonzero == 0 && !malformed; }
+
+  void touch(std::uint64_t index, const iblt::Digest32& d, std::uint64_t check,
+             std::int64_t dir) {
+    iblt::CodedSymbol& cell = cells[index];
+    const bool was_zero = cell.is_zero();
+    cell.apply(d, check, dir);
+    const bool now_zero = cell.is_zero();
+    if (was_zero && !now_zero) ++nonzero;
+    if (!was_zero && now_zero) --nonzero;
+    ++ops;
+  }
+  void enqueue(std::uint64_t index) {
+    if (cells[index].count == 1 || cells[index].count == -1) worklist.push_back(index);
+  }
+  [[nodiscard]] bool over_budget() const {
+    const std::uint64_t tracked =
+        local.items.size() + rec_pos.items.size() + rec_neg.items.size() + 1;
+    const std::uint64_t log_m = static_cast<std::uint64_t>(std::bit_width(received + 1)) + 4;
+    return ops > 4096 + 16 * received + 32 * tracked * log_m;
+  }
+
+  void add_symbol(const iblt::CodedSymbol& symbol) {
+    if (malformed) return;
+    const std::uint64_t index = received++;
+    cells.push_back(symbol);
+    if (!symbol.is_zero()) ++nonzero;
+    const auto subtract = [&](SeedWindow& window, std::int64_t dir) {
+      window.drain(index, [&](const SeedWindow::Item& it) {
+        touch(index, it.digest, it.check, dir);
+      });
+    };
+    subtract(local, -1);
+    subtract(rec_pos, -1);
+    subtract(rec_neg, +1);
+    enqueue(index);
+    peel();
+    if (over_budget()) malformed = true;
+  }
+
+  void peel() {
+    while (!worklist.empty() && !malformed) {
+      const std::uint64_t index = worklist.back();
+      worklist.pop_back();
+      const iblt::CodedSymbol cell = cells[index];
+      if (cell.count != 1 && cell.count != -1) continue;
+      if (cell.check != iblt::coded_symbol_check(cell.sum, salt)) continue;
+      const std::int64_t dir = cell.count;
+      const std::uint64_t key =
+          util::mix64(cell.check ^ (dir > 0 ? 0x5bf03635aULL : 0xa9e4f1c2dULL));
+      if (!peeled_keys.insert(key).second) {
+        malformed = true;
+        return;
+      }
+      iblt::IndexMapper mapper(iblt::coded_symbol_map_seed(cell.sum, salt));
+      for (std::uint64_t at = mapper.current(); at < received; at = mapper.next()) {
+        touch(at, cell.sum, cell.check, -dir);
+        enqueue(at);
+        if (over_budget()) {
+          malformed = true;
+          return;
+        }
+      }
+      (dir > 0 ? rec_pos : rec_neg).add({cell.sum, cell.check, mapper});
+      (dir > 0 ? positives : negatives).push_back(cell.sum);
     }
   }
 };
@@ -294,6 +439,123 @@ ScaleResult run_scale(std::uint64_t m, int reps) {
   return res;
 }
 
+// --- Rateless coded-symbol session -----------------------------------------
+
+struct RatelessResult {
+  std::uint64_t items = 500, symbols = 128, difference = 80, sessions = 0;
+  double symbols_consumed = 0;  ///< mean per session, both decoders
+  double encode_seed_us = 0, encode_lib_us = 0;  ///< per session
+  double decode_seed_us = 0, decode_lib_us = 0;  ///< per session
+};
+
+/// Feeds `stream` to `dec` the way RatelessClientBackend receives it: chunks
+/// that double the stream consumed so far (16, 16, 32, …), until it decodes.
+void decode_in_chunks(iblt::RatelessDecoder& dec, std::span<const iblt::CodedSymbol> stream) {
+  while (!dec.decoded() && !dec.malformed() && dec.received() < stream.size()) {
+    const std::uint64_t len =
+        std::min<std::uint64_t>(std::max<std::uint64_t>(16, dec.received()),
+                                stream.size() - dec.received());
+    (void)dec.add_symbols(stream.subspan(dec.received(), len));
+  }
+}
+
+RatelessResult run_rateless(int reps, int sessions) {
+  RatelessResult res;
+  res.sessions = static_cast<std::uint64_t>(sessions);
+  // The daemon_rateless sets: the client drops 40 host items and adds 40.
+  const std::vector<chain::TxId> host = random_ids(res.items, 0x4a7e);
+  std::vector<chain::TxId> client(host.begin() + 40, host.end());
+  const std::vector<chain::TxId> extra = random_ids(40, 0xc11e);
+  client.insert(client.end(), extra.begin(), extra.end());
+  // One fresh salt per session, as the daemon draws them; every stream is
+  // long enough for the decode to finish.
+  const std::uint64_t kStream = 512;
+  std::vector<std::uint64_t> salts;
+  std::vector<std::vector<iblt::CodedSymbol>> streams;
+  for (int i = 0; i < sessions; ++i) {
+    salts.push_back(util::mix64(0x5e55104 + static_cast<std::uint64_t>(i)));
+    iblt::RatelessEncoder enc(salts.back());
+    SeedRatelessEncoder seed(salts.back());
+    for (const chain::TxId& d : host) {
+      enc.add_item(d);
+      seed.add_item(d);
+    }
+    enc.extend(kStream);
+    bool same = true;
+    for (const iblt::CodedSymbol& sym : enc.prefix()) {
+      const iblt::CodedSymbol ref = seed.next_symbol();
+      same = same && sym.sum == ref.sum && sym.check == ref.check && sym.count == ref.count;
+    }
+    check(same, "item-major coded symbols diverged from the heap-scheduled replica");
+    streams.emplace_back(enc.prefix().begin(), enc.prefix().end());
+
+    iblt::RatelessDecoder dec(salts.back());
+    SeedRatelessDecoder seed_dec(salts.back());
+    for (const chain::TxId& d : client) {
+      dec.add_local(d);
+      seed_dec.local.add(d, salts.back());
+    }
+    decode_in_chunks(dec, streams.back());
+    for (const iblt::CodedSymbol& sym : streams.back()) {
+      if (seed_dec.decoded() || seed_dec.malformed) break;
+      seed_dec.add_symbol(sym);
+    }
+    check(dec.decoded() && dec.positives().size() == 40 && dec.negatives().size() == 40,
+          "rateless difference failed to decode");
+    check(seed_dec.decoded() == dec.decoded() && seed_dec.received == dec.received() &&
+              seed_dec.ops == dec.update_ops() && seed_dec.positives == dec.positives() &&
+              seed_dec.negatives == dec.negatives(),
+          "rateless decoder diverged from the heap-scheduled replica");
+    res.symbols_consumed += static_cast<double>(dec.received()) / sessions;
+  }
+
+  const double per_session_us = 1e3 / sessions;
+  std::uint64_t sink = 0;
+  res.encode_seed_us = per_session_us * best_ms(reps, &sink, [&] {
+    std::uint64_t acc = 0;
+    for (const std::uint64_t salt : salts) {
+      SeedRatelessEncoder enc(salt);
+      for (const chain::TxId& d : host) enc.add_item(d);
+      for (std::uint64_t i = 0; i < res.symbols; ++i) acc ^= enc.next_symbol().check;
+    }
+    return acc;
+  });
+  res.encode_lib_us = per_session_us * best_ms(reps, &sink, [&] {
+    std::uint64_t acc = 0;
+    for (const std::uint64_t salt : salts) {
+      iblt::RatelessEncoder enc(salt);
+      for (const chain::TxId& d : host) enc.add_item(d);
+      enc.extend(res.symbols);
+      for (const iblt::CodedSymbol& sym : enc.prefix()) acc ^= sym.check;
+    }
+    return acc;
+  });
+  res.decode_seed_us = per_session_us * best_ms(reps, &sink, [&] {
+    std::uint64_t ops = 0;
+    for (int i = 0; i < sessions; ++i) {
+      SeedRatelessDecoder dec(salts[i]);
+      for (const chain::TxId& d : client) dec.local.add(d, salts[i]);
+      for (const iblt::CodedSymbol& sym : streams[i]) {
+        if (dec.decoded() || dec.malformed) break;
+        dec.add_symbol(sym);
+      }
+      ops += dec.ops;
+    }
+    return ops;
+  });
+  res.decode_lib_us = per_session_us * best_ms(reps, &sink, [&] {
+    std::uint64_t ops = 0;
+    for (int i = 0; i < sessions; ++i) {
+      iblt::RatelessDecoder dec(salts[i]);
+      for (const chain::TxId& d : client) dec.add_local(d);
+      decode_in_chunks(dec, streams[i]);
+      ops += dec.update_ops();
+    }
+    return ops;
+  });
+  return res;
+}
+
 // --- Per-kernel portable-vs-SIMD micro-benchmarks --------------------------
 
 namespace simd = util::simd;
@@ -390,6 +652,23 @@ int main() {
                 k.bytes_per_sec / 1e6, k.speedup);
   }
 
+  const RatelessResult rl = run_rateless(reps, fast ? 20 : 200);
+  const double d = static_cast<double>(rl.difference);
+  std::printf("rateless session (%llu items, %llu-symbol encode, d = %llu, %.1f symbols "
+              "decoded, %llu sessions)\n",
+              static_cast<unsigned long long>(rl.items),
+              static_cast<unsigned long long>(rl.symbols),
+              static_cast<unsigned long long>(rl.difference), rl.symbols_consumed,
+              static_cast<unsigned long long>(rl.sessions));
+  std::printf("  encode  seed %8.1f us | item-major %8.1f us  (%.2f vs %.2f us/diff elem, "
+              "%.2fx)\n",
+              rl.encode_seed_us, rl.encode_lib_us, rl.encode_seed_us / d,
+              rl.encode_lib_us / d, rl.encode_seed_us / rl.encode_lib_us);
+  std::printf("  decode  seed %8.1f us | item-major %8.1f us  (%.2f vs %.2f us/diff elem, "
+              "%.2fx)\n",
+              rl.decode_seed_us, rl.decode_lib_us, rl.decode_seed_us / d,
+              rl.decode_lib_us / d, rl.decode_seed_us / rl.decode_lib_us);
+
   std::vector<ScaleResult> results;
   for (const std::uint64_t m : scales) {
     std::printf("m = %llu (n = %llu, %d reps, best-of)\n",
@@ -433,6 +712,35 @@ int main() {
     w.end_object();
   }
   w.end_array();
+  w.key("rateless");
+  w.begin_object();
+  w.key("items");
+  w.number(rl.items);
+  w.key("symbols");
+  w.number(rl.symbols);
+  w.key("difference");
+  w.number(rl.difference);
+  w.key("sessions");
+  w.number(rl.sessions);
+  w.key("symbols_consumed");
+  w.number(rl.symbols_consumed);
+  w.key("encode_seed_us");
+  w.number(rl.encode_seed_us);
+  w.key("encode_item_major_us");
+  w.number(rl.encode_lib_us);
+  w.key("encode_seed_us_per_diff");
+  w.number(rl.encode_seed_us / d);
+  w.key("encode_item_major_us_per_diff");
+  w.number(rl.encode_lib_us / d);
+  w.key("decode_seed_us");
+  w.number(rl.decode_seed_us);
+  w.key("decode_item_major_us");
+  w.number(rl.decode_lib_us);
+  w.key("decode_seed_us_per_diff");
+  w.number(rl.decode_seed_us / d);
+  w.key("decode_item_major_us_per_diff");
+  w.number(rl.decode_lib_us / d);
+  w.end_object();
   w.key("scales");
   w.begin_array();
   for (const ScaleResult& r : results) {

@@ -1,5 +1,6 @@
 #include "iblt/coded_symbol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <utility>
@@ -59,39 +60,47 @@ std::uint64_t IndexMapper::next() noexcept {
 
 void RatelessEncoder::add_item(const Digest32& digest) {
   const std::uint64_t check = coded_symbol_check(digest, salt_);
-  Source src{digest, check, IndexMapper(coded_symbol_map_seed(digest, salt_))};
-  heap_.emplace(src.mapper.current(), static_cast<std::uint32_t>(sources_.size()));
-  sources_.push_back(std::move(src));
+  sources_.push_back({digest, check, IndexMapper(coded_symbol_map_seed(digest, salt_))});
+  fold(sources_.back(), prefix_.size());
   set_check_ ^= check;
 }
 
-CodedSymbol RatelessEncoder::next_symbol() {
-  CodedSymbol out;
-  while (!heap_.empty() && heap_.top().first == next_) {
-    const std::uint32_t id = heap_.top().second;
-    heap_.pop();
-    Source& src = sources_[id];
-    out.apply(src.digest, src.check, +1);
-    heap_.emplace(src.mapper.next(), id);
+void RatelessEncoder::extend(std::uint64_t upto) {
+  if (upto <= prefix_.size()) return;
+  prefix_.resize(upto);
+  for (Source& src : sources_) fold(src, upto);
+}
+
+void RatelessEncoder::fold(Source& src, std::uint64_t upto) {
+  for (std::uint64_t at = src.mapper.current(); at < upto; at = src.mapper.next()) {
+    prefix_[at].apply(src.digest, src.check, +1);
   }
-  ++next_;
-  return out;
 }
 
-void RatelessDecoder::add_local(const Digest32& digest) {
-  Tracked tracked{digest, coded_symbol_check(digest, salt_),
-                  IndexMapper(coded_symbol_map_seed(digest, salt_))};
-  local_.add(std::move(tracked));
+std::size_t RatelessDecoder::add_symbols(std::span<const CodedSymbol> symbols) {
+  if (malformed_ || symbols.empty()) return 0;
+  // Grow the local prefix at least geometrically, so symbol-at-a-time
+  // feeding re-walks the local items O(log) times, not once per symbol.
+  const std::uint64_t need = received_ + symbols.size();
+  if (need > local_.produced()) local_.extend(std::max(need, 2 * local_.produced()));
+  std::size_t used = 0;
+  while (used < symbols.size()) {
+    consume(symbols[used++]);
+    if (malformed_ || decoded()) break;
+  }
+  return used;
 }
 
-void RatelessDecoder::add_symbol(const CodedSymbol& symbol) {
-  if (malformed_) return;
+void RatelessDecoder::consume(const CodedSymbol& symbol) {
   const std::uint64_t index = received_++;
-  cells_.push_back(symbol);
-  if (!symbol.is_zero()) ++nonzero_;
   // Difference the arrival against everything we already know: our own set
-  // and every item recovered so far.
-  apply_window(local_, index, -1);
+  // (its symbol `index`, one update per local participant) and every item
+  // recovered so far.
+  const CodedSymbol& mine = local_.prefix()[index];
+  CodedSymbol& cell = cells_.emplace_back(symbol);
+  cell.apply(mine.sum, mine.check, -mine.count);
+  if (!cell.is_zero()) ++nonzero_;
+  ops_ += static_cast<std::uint64_t>(mine.count);
   apply_window(rec_pos_, index, -1);
   apply_window(rec_neg_, index, +1);
   enqueue_if_candidate(index);
@@ -173,7 +182,7 @@ bool RatelessDecoder::over_budget() const noexcept {
   // cells, plus one op per arriving symbol. Budget that with a generous
   // constant factor; honest streams sit far below, while a hostile stream
   // that manufactures unbounded peeling work trips it in bounded time.
-  const std::uint64_t tracked = local_.items.size() + rec_pos_.items.size() +
+  const std::uint64_t tracked = local_.item_count() + rec_pos_.items.size() +
                                 rec_neg_.items.size() + 1;
   const std::uint64_t log_m =
       static_cast<std::uint64_t>(std::bit_width(received_ + 1)) + 4;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <queue>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -95,22 +96,30 @@ class IndexMapper {
   std::uint64_t idx_ = 0;
 };
 
-/// Streaming encoder over a fixed item set. add_item() every source digest,
-/// then draw coded symbols 0, 1, 2, … with next_symbol(); a min-heap on each
-/// item's next index makes symbol production O(participants · log n).
+/// Item-major encoder over a fixed item set: add_item() every source digest,
+/// then extend() the symbol prefix to as many symbols as the reader needs.
+/// Symbol i is a plain sum over the items whose index sequence hits i, so
+/// extend() walks each item's sequence from where it last stopped and folds
+/// the item into every prefix cell it reaches — O(participations) work into
+/// a flat array, with no cross-item scheduling. Extending in any steps yields
+/// the same symbols.
 class RatelessEncoder {
  public:
   /// `salt` keys the per-item checksums and index sequences; both ends of a
   /// reconciliation must agree on it.
   explicit RatelessEncoder(std::uint64_t salt) noexcept : salt_(salt) {}
 
-  /// Registers a source item. Must precede the first next_symbol() call.
+  /// Registers a source item, folding it into the prefix built so far.
   void add_item(const Digest32& digest);
 
-  /// Produces the coded symbol at index produced() and advances the stream.
-  CodedSymbol next_symbol();
+  /// Extends the prefix to cover stream indices [0, upto); a no-op when it
+  /// already does.
+  void extend(std::uint64_t upto);
 
-  [[nodiscard]] std::uint64_t produced() const noexcept { return next_; }
+  /// Coded symbols 0 … produced()-1. The span is invalidated by the next
+  /// extend() or add_item().
+  [[nodiscard]] std::span<const CodedSymbol> prefix() const noexcept { return prefix_; }
+  [[nodiscard]] std::uint64_t produced() const noexcept { return prefix_.size(); }
   [[nodiscard]] std::size_t item_count() const noexcept { return sources_.size(); }
 
   /// XOR over all items of their checksum — the stream-level exactness
@@ -118,25 +127,29 @@ class RatelessEncoder {
   [[nodiscard]] std::uint64_t set_checksum() const noexcept { return set_check_; }
 
  private:
+  /// One item; `mapper.current()` is its first index not yet folded in,
+  /// always >= produced().
   struct Source {
     Digest32 digest;
     std::uint64_t check;
     IndexMapper mapper;
   };
-  using HeapEntry = std::pair<std::uint64_t, std::uint32_t>;  ///< (next index, source)
+
+  void fold(Source& src, std::uint64_t upto);
 
   std::vector<Source> sources_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
-  std::uint64_t next_ = 0;
+  std::vector<CodedSymbol> prefix_;
   std::uint64_t set_check_ = 0;
   std::uint64_t salt_;
 };
 
 /// Incremental peeling decoder. Seed it with the local set (add_local),
-/// then feed the remote stream in index order (add_symbol); after each
-/// symbol the decoder peels as far as possible. decoded() flips true the
-/// moment every consumed symbol is fully explained; positives() are then
-/// the remote-only digests and negatives() the local-only ones.
+/// then feed the remote stream in index order (add_symbols). Arriving symbol
+/// i has the local set's own symbol i subtracted — the item-major prefix the
+/// host builds, here over the local set — and the decoder then peels as far
+/// as possible. decoded() flips true the moment every consumed symbol is
+/// fully explained; positives() are then the remote-only digests and
+/// negatives() the local-only ones.
 ///
 /// Hostile streams cannot hang it: every recovery is charged against a
 /// per-symbol work budget and a digest may peel at most once per direction
@@ -144,13 +157,17 @@ class RatelessEncoder {
 /// malformed(), or waits for more symbols — in bounded time per symbol.
 class RatelessDecoder {
  public:
-  explicit RatelessDecoder(std::uint64_t salt) noexcept : salt_(salt) {}
+  explicit RatelessDecoder(std::uint64_t salt) noexcept : salt_(salt), local_(salt) {}
 
-  /// Registers a local item. Must precede the first add_symbol() call.
-  void add_local(const Digest32& digest);
+  /// Registers a local item. Must precede the first add_symbols() call.
+  void add_local(const Digest32& digest) { local_.add_item(digest); }
 
-  /// Consumes the coded symbol at stream index received().
-  void add_symbol(const CodedSymbol& symbol);
+  /// Consumes `symbols` as stream indices received(), received()+1, … and
+  /// stops after the first one that leaves the decoder decoded() or
+  /// malformed(). Returns how many symbols it consumed.
+  std::size_t add_symbols(std::span<const CodedSymbol> symbols);
+  /// add_symbols() over the single symbol at stream index received().
+  void add_symbol(const CodedSymbol& symbol) { (void)add_symbols({&symbol, 1}); }
 
   /// True once the consumed prefix of the stream fully decodes (every cell
   /// zero after peeling). At least one symbol must have been consumed.
@@ -178,8 +195,10 @@ class RatelessDecoder {
     std::uint64_t check;
     IndexMapper mapper;
   };
-  /// Items applied to every arriving cell with a fixed direction, advanced
-  /// lazily via a min-heap on each item's next index.
+  /// Recovered items, applied to every arriving cell with a fixed direction
+  /// and advanced lazily via a min-heap on each item's next index. The heap
+  /// keeps per-symbol work proportional to the cell's participants, however
+  /// many items a hostile stream gets recovered.
   struct Window {
     std::vector<Tracked> items;
     std::priority_queue<std::pair<std::uint64_t, std::uint32_t>,
@@ -193,6 +212,9 @@ class RatelessDecoder {
     }
   };
 
+  /// Subtracts the local prefix from `symbol`, appends it as the next cell,
+  /// applies the recovered windows and peels.
+  void consume(const CodedSymbol& symbol);
   /// Pops every window entry due at `index` and applies it to cells_[index]
   /// with direction `dir`, advancing each popped item's mapper.
   void apply_window(Window& window, std::uint64_t index, std::int64_t dir);
@@ -205,9 +227,9 @@ class RatelessDecoder {
 
   std::uint64_t salt_;
   std::vector<CodedSymbol> cells_;
-  Window local_;    ///< initial local set, subtracted from arrivals
-  Window rec_pos_;  ///< recovered remote-only items, subtracted from arrivals
-  Window rec_neg_;  ///< recovered local-only items, added back to arrivals
+  RatelessEncoder local_;  ///< the local set's prefix, subtracted from arrivals
+  Window rec_pos_;         ///< recovered remote-only items, subtracted from arrivals
+  Window rec_neg_;         ///< recovered local-only items, added back to arrivals
   std::vector<std::uint64_t> worklist_;
   std::vector<Digest32> positives_;
   std::vector<Digest32> negatives_;

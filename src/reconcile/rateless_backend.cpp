@@ -1,6 +1,7 @@
 #include "reconcile/rateless_backend.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "graphene/errors.hpp"
 #include "reconcile/flight.hpp"
@@ -92,14 +93,14 @@ RatelessHostBackend::RatelessHostBackend(const ItemSet& items, std::uint64_t sal
 
 RatelessChunk RatelessHostBackend::chunk_for(std::uint64_t start,
                                              std::uint64_t count) {
-  while (produced_.size() < start + count) produced_.push_back(encoder_.next_symbol());
+  encoder_.extend(start + count);
   RatelessChunk chunk;
   chunk.start = start;
   chunk.host_count = encoder_.item_count();
   chunk.salt = salt_;
   chunk.set_checksum = encoder_.set_checksum();
-  chunk.symbols.assign(produced_.begin() + static_cast<std::ptrdiff_t>(start),
-                       produced_.begin() + static_cast<std::ptrdiff_t>(start + count));
+  const std::span<const iblt::CodedSymbol> span = encoder_.prefix().subspan(start, count);
+  chunk.symbols.assign(span.begin(), span.end());
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "rlchunk", chunk,
              {{"start", static_cast<double>(start)},
               {"symbols", static_cast<double>(count)},
@@ -182,14 +183,11 @@ Outcome RatelessClientBackend::absorb_wire(const WireMsg& msg) {
   // Consume in stream order. Symbols before our cursor are duplicates
   // (idempotent re-serves, channel-level retransmits) and are skipped; a
   // chunk starting past the cursor is a gap we cannot peel over, so we keep
-  // the cursor and re-request — the host's cache makes the retry identical.
-  for (std::size_t i = 0; i < chunk.symbols.size(); ++i) {
-    const std::uint64_t index = chunk.start + i;
-    if (index < decoder_->received()) continue;
-    if (index > decoder_->received()) break;
-    decoder_->add_symbol(chunk.symbols[i]);
+  // the cursor and re-request — the host's prefix makes the retry identical.
+  const std::uint64_t cursor = decoder_->received();
+  if (chunk.start <= cursor && cursor - chunk.start < chunk.symbols.size()) {
+    (void)decoder_->add_symbols(std::span(chunk.symbols).subspan(cursor - chunk.start));
     if (decoder_->malformed()) return fail();
-    if (decoder_->decoded()) break;
   }
   if (decoder_->received() > symbol_budget()) return fail();
 

@@ -14,8 +14,9 @@
 //   RatelessNeed  — client → host: "send `count` symbols from `next_index`"
 //
 // Chunks are bounded by util::wire_limits and fuzz-covered
-// (fuzz/fuzz_rateless_chunk.cpp); symbol spans re-serve idempotently from a
-// host-side cache, so duplicated or re-requested chunks are byte-identical.
+// (fuzz/fuzz_rateless_chunk.cpp); symbol spans re-serve idempotently from
+// the encoder's symbol prefix, so duplicated or re-requested chunks are
+// byte-identical.
 #pragma once
 
 #include <optional>
@@ -57,7 +58,8 @@ struct RatelessNeed {
   static RatelessNeed deserialize(util::ByteReader& reader);
 };
 
-/// Host side: wraps a RatelessEncoder and serves idempotent chunk reads.
+/// Host side: wraps a RatelessEncoder and serves idempotent chunk reads
+/// straight from its symbol prefix.
 class RatelessHostBackend final : public HostBackend {
  public:
   RatelessHostBackend(const ItemSet& items, std::uint64_t salt,
@@ -66,19 +68,13 @@ class RatelessHostBackend final : public HostBackend {
   [[nodiscard]] WireMsg open(std::uint64_t client_count) override;
   [[nodiscard]] WireMsg serve_wire(const WireMsg& request) override;
 
-  /// Symbols the host has generated so far (cache size), for telemetry.
-  [[nodiscard]] std::uint64_t symbols_produced() const noexcept {
-    return produced_.size();
-  }
-
  private:
   [[nodiscard]] RatelessChunk chunk_for(std::uint64_t start, std::uint64_t count);
 
   std::uint64_t salt_;
   core::ProtocolConfig cfg_;
   iblt::RatelessEncoder encoder_;
-  std::vector<iblt::CodedSymbol> produced_;  ///< idempotent re-serve cache
-  std::uint64_t stream_budget_ = 0;          ///< most symbols we will generate
+  std::uint64_t stream_budget_ = 0;  ///< most symbols we will generate
 };
 
 /// Client side: wraps a RatelessDecoder; every absorbed chunk either

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "daemon/loadgen.hpp"
@@ -291,22 +293,53 @@ TEST(LoadgenEdges, RefusedConnectionsCountAsErrorsAndMirrorIntoObs) {
   opts.max_connections = 4;
   RelayDaemon daemon(make_items(60), opts);
   const std::uint16_t port = daemon.listen("127.0.0.1", 0);
+  ASSERT_NE(port, 0);
   daemon.start();
+
+  // Hold the whole cap with idle sockets before any loadgen connects, so
+  // which connections the daemon refuses does not depend on timing.
+  const auto wait_for_open = [&daemon](std::size_t want) {
+    for (int i = 0; i < 2000 && daemon.open_connections() != want; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return daemon.open_connections();
+  };
+  std::vector<int> holders;
+  for (std::uint32_t i = 0; i < opts.max_connections; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    holders.push_back(fd);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::connect(fd, static_cast<const sockaddr*>(static_cast<const void*>(&addr)),
+                        sizeof(addr)),
+              0);
+  }
+  ASSERT_EQ(wait_for_open(4), 4u);
 
   const reconcile::ItemSet client_items = make_items(50, 10);
   LoadgenOptions lg;
   lg.port = port;
-  lg.connections = 8;  // four beyond the daemon's cap
+  lg.connections = 4;
   lg.sessions_per_conn = 1;
   lg.workers = 2;
   lg.items = &client_items;
   lg.protocol.obs = &reg;
   lg.deadline_ns = 60ULL * 1000 * 1000 * 1000;
-  const LoadgenReport report = run_loadgen(lg);
+  const LoadgenReport refused = run_loadgen(lg);
+  EXPECT_EQ(refused.sessions_ok, 0u);
+  EXPECT_EQ(refused.conn_errors, 4u);
+  EXPECT_EQ(daemon.stats().conns_refused, 4u);
+
+  for (const int fd : holders) ::close(fd);
+  ASSERT_EQ(wait_for_open(0), 0u);
+  const LoadgenReport served = run_loadgen(lg);
   daemon.stop();
 
-  EXPECT_EQ(report.sessions_ok, 4u);
-  EXPECT_EQ(report.conn_errors, 4u);
+  EXPECT_EQ(served.sessions_ok, 4u);
+  EXPECT_EQ(served.conn_errors, 0u);
   EXPECT_EQ(reg.histogram("loadgen_session_ns").count(), 4u);
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 
 #include "iblt/coded_symbol.hpp"
 #include "util/random.hpp"
@@ -98,9 +99,11 @@ TEST(RatelessEncoder, StreamIsDeterministicAndChecksumIsXor) {
     expected_check ^= coded_symbol_check(d, 0x5a17);
   }
   EXPECT_EQ(a.set_checksum(), expected_check);
+  a.extend(300);
+  b.extend(300);
   for (int i = 0; i < 300; ++i) {
-    const CodedSymbol sa = a.next_symbol();
-    const CodedSymbol sb = b.next_symbol();
+    const CodedSymbol& sa = a.prefix()[i];
+    const CodedSymbol& sb = b.prefix()[i];
     EXPECT_EQ(sa.sum, sb.sum);
     EXPECT_EQ(sa.check, sb.check);
     EXPECT_EQ(sa.count, sb.count);
@@ -117,10 +120,59 @@ TEST(RatelessEncoder, SymbolZeroCoversEveryItem) {
     enc.add_item(d);
     expected.apply(d, coded_symbol_check(d, 1), +1);
   }
-  const CodedSymbol first = enc.next_symbol();
+  enc.extend(1);
+  const CodedSymbol& first = enc.prefix()[0];
   EXPECT_EQ(first.count, static_cast<std::int64_t>(items.size()));
   EXPECT_EQ(first.sum, expected.sum);
   EXPECT_EQ(first.check, expected.check);
+}
+
+/// Reference encoder, symbol-major and with no state carried between
+/// symbols: symbol i folds every item whose IndexMapper sequence hits i.
+std::vector<CodedSymbol> naive_prefix(const std::vector<Digest32>& items,
+                                      std::uint64_t salt, std::uint64_t upto) {
+  std::vector<CodedSymbol> out(upto);
+  for (std::uint64_t i = 0; i < upto; ++i) {
+    for (const Digest32& d : items) {
+      IndexMapper mapper(coded_symbol_map_seed(d, salt));
+      std::uint64_t at = mapper.current();
+      while (at < i) at = mapper.next();
+      if (at == i) out[i].apply(d, coded_symbol_check(d, salt), +1);
+    }
+  }
+  return out;
+}
+
+TEST(RatelessEncoder, ItemMajorPrefixMatchesNaiveReference) {
+  // Extension steps are uneven and half the items arrive after the first
+  // step, so neither the step sizes nor add_item/extend order may matter.
+  const std::uint64_t kSteps[] = {1, 3, 16, 100, 300};
+  util::Rng rng(12);
+  for (const std::size_t n : {0u, 1u, 7u, 500u}) {
+    const auto items = random_digests(n, rng);
+    for (const std::uint64_t salt : {0ULL, 0x5a17ULL, 0xfeedfacecafebeefULL}) {
+      const std::vector<CodedSymbol> ref = naive_prefix(items, salt, 420);
+      RatelessEncoder enc(salt);
+      for (std::size_t i = 0; i < n / 2; ++i) enc.add_item(items[i]);
+      std::uint64_t upto = 0;
+      for (const std::uint64_t step : kSteps) {
+        upto += step;
+        enc.extend(upto);
+        if (step == kSteps[0]) {
+          for (std::size_t i = n / 2; i < n; ++i) enc.add_item(items[i]);
+        }
+        ASSERT_EQ(enc.produced(), upto);
+        for (std::uint64_t i = 0; i < upto; ++i) {
+          const CodedSymbol& got = enc.prefix()[i];
+          ASSERT_EQ(got.sum, ref[i].sum) << "n=" << n << " salt=" << salt << " i=" << i;
+          ASSERT_EQ(got.check, ref[i].check) << "n=" << n << " i=" << i;
+          ASSERT_EQ(got.count, ref[i].count) << "n=" << n << " i=" << i;
+        }
+      }
+      enc.extend(upto - 1);  // shrinking is a no-op
+      EXPECT_EQ(enc.produced(), upto);
+    }
+  }
 }
 
 /// Streams host symbols into a decoder seeded with the client set until it
@@ -132,7 +184,8 @@ std::uint64_t decode_stream(const std::vector<Digest32>& host,
   for (const Digest32& d : host) enc.add_item(d);
   for (const Digest32& d : client) dec.add_local(d);
   for (std::uint64_t i = 0; i < cap; ++i) {
-    dec.add_symbol(enc.next_symbol());
+    if (i == enc.produced()) enc.extend(2 * i + 64);
+    dec.add_symbol(enc.prefix()[i]);
     if (dec.decoded()) return dec.received();
     if (dec.malformed()) return 0;
   }
@@ -207,7 +260,8 @@ TEST(RatelessDecoder, RepeatedFirstSymbolDoesNotDecodeWrong) {
   const auto host = random_digests(40, rng);
   RatelessEncoder enc(3);
   for (const Digest32& d : host) enc.add_item(d);
-  const CodedSymbol first = enc.next_symbol();
+  enc.extend(1);
+  const CodedSymbol first = enc.prefix()[0];
 
   RatelessDecoder dec(3);  // empty local set: true difference is 40 items
   for (int i = 0; i < 500 && !dec.malformed() && !dec.decoded(); ++i) {
@@ -220,8 +274,8 @@ TEST(RatelessDecoder, RepeatedFirstSymbolDoesNotDecodeWrong) {
 }
 
 TEST(RatelessDecoder, UpdateOpsGrowSubquadratically) {
-  // The lazy windows make per-symbol work ~O(log) amortized; catching an
-  // accidental rescan-everything regression.
+  // The local prefix and the lazy recovered windows make per-symbol work
+  // ~O(log) amortized; catching an accidental rescan-everything regression.
   util::Rng rng(11);
   const auto host = random_digests(400, rng);
   const auto client = random_digests(100, rng);
@@ -229,6 +283,101 @@ TEST(RatelessDecoder, UpdateOpsGrowSubquadratically) {
   const std::uint64_t used = decode_stream(host, client, 9, dec, 5000);
   ASSERT_GT(used, 0u);
   EXPECT_LT(dec.update_ops(), 64u * used * 20u);
+}
+
+/// Everything a decoder exposes, for comparing feeds of the same stream.
+struct DecoderState {
+  std::vector<Digest32> positives, negatives;
+  std::uint64_t received = 0, update_ops = 0;
+  bool malformed = false, decoded = false;
+
+  explicit DecoderState(const RatelessDecoder& dec)
+      : positives(dec.positives()),
+        negatives(dec.negatives()),
+        received(dec.received()),
+        update_ops(dec.update_ops()),
+        malformed(dec.malformed()),
+        decoded(dec.decoded()) {}
+  bool operator==(const DecoderState&) const = default;
+};
+
+/// Feeds `stream` to a fresh decoder over `local` in pieces of the sizes
+/// `piece` returns, stopping where add_symbols() stops.
+template <typename Piece>
+DecoderState feed(const std::vector<Digest32>& local, std::uint64_t salt,
+                  const std::vector<CodedSymbol>& stream, Piece piece) {
+  RatelessDecoder dec(salt);
+  for (const Digest32& d : local) dec.add_local(d);
+  std::size_t at = 0;
+  while (at < stream.size()) {
+    const std::size_t len = std::min(piece(), stream.size() - at);
+    const std::size_t used =
+        dec.add_symbols(std::span<const CodedSymbol>(stream).subspan(at, len));
+    at += used;
+    if (used < len || dec.decoded() || dec.malformed()) break;
+  }
+  EXPECT_EQ(at, dec.received());
+  return DecoderState(dec);
+}
+
+/// The stream fed symbol by symbol, as one span, and in random-sized chunks.
+DecoderState expect_feeds_agree(const std::vector<Digest32>& local, std::uint64_t salt,
+                                const std::vector<CodedSymbol>& stream) {
+  const DecoderState one = feed(local, salt, stream, [] { return std::size_t{1}; });
+  const DecoderState whole = feed(local, salt, stream, [&] { return stream.size(); });
+  util::Rng sizes(salt ^ stream.size());
+  const DecoderState chunks =
+      feed(local, salt, stream, [&] { return static_cast<std::size_t>(1 + sizes.below(64)); });
+  EXPECT_TRUE(one == whole);
+  EXPECT_TRUE(one == chunks);
+  return one;
+}
+
+TEST(RatelessDecoder, SpanChunkAndSymbolFeedsAgree) {
+  // Honest stream: 500-item host, 40 dropped and 40 added on the client.
+  {
+    util::Rng rng(0x9e11);
+    const auto host = random_digests(500, rng);
+    std::vector<Digest32> client(host.begin() + 40, host.end());
+    const auto extra = random_digests(40, rng);
+    client.insert(client.end(), extra.begin(), extra.end());
+    RatelessEncoder enc(0x1e55);
+    for (const Digest32& d : host) enc.add_item(d);
+    enc.extend(2000);
+    const std::vector<CodedSymbol> stream(enc.prefix().begin(), enc.prefix().end());
+    const DecoderState st = expect_feeds_agree(client, 0x1e55, stream);
+    EXPECT_TRUE(st.decoded);
+    EXPECT_EQ(st.positives.size(), 40u);
+    EXPECT_EQ(st.negatives.size(), 40u);
+    // Exact symbols consumed and cell updates (one per local participant of
+    // each consumed symbol, plus the peel work) for this stream. The work
+    // budget reads update_ops(), so a change here moves the budget.
+    EXPECT_EQ(st.received, 135u);
+    EXPECT_EQ(st.update_ops, 5157u);
+  }
+  // Garbage stream (as in GarbageStreamTerminatesViaBudgetNotHang).
+  {
+    util::Rng rng(9);
+    const auto local = random_digests(50, rng);
+    std::vector<CodedSymbol> stream(2000);
+    for (CodedSymbol& junk : stream) {
+      junk.sum = random_digest(rng);
+      junk.check = rng.next();
+      junk.count = static_cast<std::int64_t>(rng.below(5)) - 2;
+    }
+    const DecoderState st = expect_feeds_agree(local, 55, stream);
+    EXPECT_FALSE(st.decoded);
+  }
+  // The first symbol repeated at every position, over an empty local set.
+  {
+    util::Rng rng(10);
+    RatelessEncoder enc(3);
+    for (const Digest32& d : random_digests(40, rng)) enc.add_item(d);
+    enc.extend(1);
+    const std::vector<CodedSymbol> stream(500, enc.prefix()[0]);
+    const DecoderState st = expect_feeds_agree({}, 3, stream);
+    EXPECT_FALSE(st.decoded);
+  }
 }
 
 }  // namespace

@@ -189,7 +189,8 @@ std::vector<WireCase> make_cases() {
       const auto d = digest32();
       enc.add_item(d);
     }
-    for (int i = 0; i < 8; ++i) msg.symbols.push_back(enc.next_symbol());
+    enc.extend(8);
+    msg.symbols.assign(enc.prefix().begin(), enc.prefix().end());
     cases.push_back({"reconcile::RatelessChunk", msg.serialize(),
                      parser<reconcile::RatelessChunk>()});
   }

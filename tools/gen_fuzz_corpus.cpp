@@ -207,8 +207,9 @@ int main(int argc, char** argv) {
       enc.add_item(d);
     }
     chunk.set_checksum = enc.set_checksum();
-    for (std::uint64_t i = 0; i < start; ++i) (void)enc.next_symbol();
-    for (int i = 0; i < symbols; ++i) chunk.symbols.push_back(enc.next_symbol());
+    enc.extend(start + static_cast<std::uint64_t>(symbols));
+    chunk.symbols.assign(enc.prefix().begin() + static_cast<std::ptrdiff_t>(start),
+                         enc.prefix().end());
     emit("fuzz_rateless_chunk", std::string("seed-chunk-") + tag,
          prefix_byte(0, chunk.serialize()));
 
@@ -278,7 +279,8 @@ int main(int argc, char** argv) {
       enc.add_item(d);
     }
     chunk.set_checksum = enc.set_checksum();
-    for (int i = 0; i < 16; ++i) chunk.symbols.push_back(enc.next_symbol());
+    enc.extend(16);
+    chunk.symbols.assign(enc.prefix().begin(), enc.prefix().end());
     util::Bytes rstream = framed(net::MessageType::kDaemonHello, rhello.serialize());
     const util::Bytes rchunk = framed(net::MessageType::kRatelessChunk, chunk.serialize());
     rstream.insert(rstream.end(), rchunk.begin(), rchunk.end());

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -24,6 +25,11 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
+
+void usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out, "usage: %s [--host H] [--port P] [--items N] [--seed S] [--max-conns N]\n",
+               argv0);
+}
 
 std::uint64_t flag_u64(int argc, char** argv, const char* name, std::uint64_t fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
@@ -45,9 +51,7 @@ int main(int argc, char** argv) {
   using namespace graphene;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: %s [--host H] [--port P] [--items N] [--seed S] [--max-conns N]\n",
-          argv[0]);
+      usage(stdout, argv[0]);
       return 0;
     }
   }
@@ -59,7 +63,15 @@ int main(int argc, char** argv) {
   iblt::ParamCache cache;
   daemon::DaemonOptions opts;
   opts.protocol.param_cache = &cache;
-  opts.max_connections = flag_u64(argc, argv, "--max-conns", opts.max_connections);
+  const std::uint64_t max_conns = flag_u64(argc, argv, "--max-conns", opts.max_connections);
+  if (max_conns > std::numeric_limits<decltype(opts.max_connections)>::max()) {
+    std::fprintf(stderr, "graphene_relayd: --max-conns %llu exceeds %u\n",
+                 static_cast<unsigned long long>(max_conns),
+                 std::numeric_limits<decltype(opts.max_connections)>::max());
+    usage(stderr, argv[0]);
+    return 2;
+  }
+  opts.max_connections = static_cast<std::uint32_t>(max_conns);
 
   daemon::RelayDaemon served(tools::host_set(seed, items), opts);
   const std::uint16_t bound = served.listen(host, port);
