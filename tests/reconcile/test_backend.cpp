@@ -10,6 +10,7 @@
 #include "graphene/errors.hpp"
 #include "reconcile/rateless_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
+#include "testkit/gen.hpp"
 #include "util/hex.hpp"
 #include "util/random.hpp"
 #include "util/sha256.hpp"
@@ -163,6 +164,64 @@ TEST(BackendGoldenWire, RatelessScenarioPinsHold) {
       "e712111919235f1bd15a46b98c1a16693b8897313b13701243c2e92fab540b11",  // chunk 3
   };
   EXPECT_EQ(pins, expected);
+}
+
+// The Graphene reconcile wire over the testkit (n, m, overlap) lattice:
+// every message type, payload and client status of 50 fixed-seed sessions
+// (host set = block txids, client set = receiver mempool), hashed in
+// exchange order into one digest.
+TEST(BackendGoldenWire, LatticePinHolds) {
+  util::Rng rng(0x1a78);
+  testkit::ScenarioDims dims;
+  dims.min_block_txns = 1;
+  dims.max_block_txns = 400;
+  dims.max_extra_multiple = 3.0;
+  util::Sha256 h;
+  const auto absorb_bytes = [&h](const WireMsg& msg) {
+    std::uint8_t head[9];
+    head[0] = static_cast<std::uint8_t>(msg.type);
+    for (int b = 0; b < 8; ++b) {
+      head[1 + b] = static_cast<std::uint8_t>(msg.payload.size() >> (8 * b));
+    }
+    h.update(head, sizeof(head));
+    h.update(util::ByteView(msg.payload));
+  };
+  std::vector<int> rounds(4, 0);
+  for (int i = 0; i < 50; ++i) {
+    const testkit::GenCase c = testkit::gen_case(rng, dims);
+    const chain::Scenario s = testkit::build_scenario(c);
+    ItemSet host_items;
+    for (const chain::Transaction& tx : s.block.transactions()) host_items.insert(tx.id);
+    ItemSet client_items;
+    for (const chain::TxId& id : s.receiver_mempool.ids()) client_items.insert(id);
+
+    Host host(host_items, c.salt);
+    Client client(client_items);
+    WireMsg msg = host.open(client_items.size());
+    absorb_bytes(msg);
+    Outcome out = client.absorb_wire(msg);
+    std::size_t round = 0;
+    for (;;) {
+      const auto st = static_cast<std::uint8_t>(out.status);
+      h.update(&st, 1);
+      if (!needs_more(out.status)) break;
+      ASSERT_LT(++round, rounds.size());
+      const WireMsg req = client.next_request();
+      absorb_bytes(req);
+      msg = host.serve_wire(req);
+      absorb_bytes(msg);
+      out = client.absorb_wire(msg);
+    }
+    ++rounds[round];
+    if (out.status == Outcome::Status::kComplete) EXPECT_EQ(out.host_set, host_items);
+  }
+  // The lattice must reach the request and the fetch round, not only P1.
+  EXPECT_GT(rounds[0], 0);
+  EXPECT_GT(rounds[1], 0);
+  EXPECT_GT(rounds[2], 0);
+  const auto d = h.finalize();
+  EXPECT_EQ(util::to_hex(util::ByteView(d.data(), d.size())),
+            "9b9ee86a081dab4fd2592d207dbf2935826b11ee3fe32571ed395468873fc1ea");
 }
 
 // --- The backend-agnostic driver -------------------------------------------
