@@ -42,11 +42,10 @@ int main(int argc, char** argv) {
   std::printf("CA revocation set: %zu entries | client copy: %zu entries (stale by %llu)\n",
               revoked.size(), client_copy.size(), static_cast<unsigned long long>(fresh));
 
-  const reconcile::Host ca(revoked, rng.next());
+  reconcile::Host ca(revoked, rng.next());
   reconcile::Client client(client_copy);
   reconcile::Outcome outcome;
-  const reconcile::SyncStats stats = reconcile::reconcile_one_way(
-      ca, client, ca.make_offer(client_copy.size()), outcome);
+  const reconcile::SyncStats stats = reconcile::reconcile_one_way(ca, client, outcome);
 
   if (!stats.success) {
     std::printf("reconciliation FAILED (expected ~1/240 of runs)\n");

@@ -1,5 +1,7 @@
 #include "graphene/errors.hpp"
 
+#include "obs/obs.hpp"
+
 namespace graphene::core {
 
 std::string ProtocolError::format(const std::string& stage, const std::string& what,
@@ -15,6 +17,15 @@ std::string ProtocolError::format(const std::string& stage, const std::string& w
   out += " b=" + std::to_string(ctx.b);
   out += "]";
   return out;
+}
+
+void record_rejection(obs::Registry* reg, const ProtocolError& error) {
+  const ErrorContext& ctx = error.context();
+  obs::record(reg, obs::FlightEventKind::kError, error.stage(),
+              {{"n", static_cast<double>(ctx.n)},
+               {"z", static_cast<double>(ctx.z)},
+               {"y_star", static_cast<double>(ctx.y_star)},
+               {"b", static_cast<double>(ctx.b)}});
 }
 
 }  // namespace graphene::core

@@ -12,6 +12,10 @@
 #include <stdexcept>
 #include <string>
 
+namespace graphene::obs {
+class Registry;
+}  // namespace graphene::obs
+
 namespace graphene::core {
 
 /// Receiver-side state snapshot attached to protocol errors.
@@ -43,5 +47,9 @@ class ProtocolError : public std::logic_error {
   std::string stage_;
   ErrorContext ctx_;
 };
+
+/// Records a host's rejection of an out-of-range request as an `error`
+/// flight event labelled with the error's stage (no-op without a recorder).
+void record_rejection(obs::Registry* reg, const ProtocolError& error);
 
 }  // namespace graphene::core

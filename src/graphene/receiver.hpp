@@ -1,4 +1,7 @@
-// Receiver-side protocol engine (Protocols 1 and 2, §3.1–§3.2).
+// Receiver side of block relay (Protocols 1 and 2, §3.1–§3.2): an adapter
+// that runs the engine's client (engine.hpp) over the mempool's txids, keeps
+// the transactions that arrive over the wire, verifies the result against
+// the header's Merkle root, and records the receiver's telemetry.
 //
 // ReceiveSession drives the full state machine for ONE relayed block:
 //
@@ -14,15 +17,13 @@
 // Receiver is the long-lived per-node object: it holds the mempool binding
 // and configuration and mints a fresh ReceiveSession per relay. Sessions
 // from one Receiver are independent, so distinct peers' relays can be
-// driven concurrently from pool threads. Receiver also keeps the legacy
-// one-block-at-a-time methods as a facade over an internal session; see the
-// deprecation note below.
+// driven concurrently from pool threads.
 #pragma once
 
 #include <unordered_map>
-#include <unordered_set>
 
 #include "chain/mempool.hpp"
+#include "graphene/engine.hpp"
 #include "graphene/errors.hpp"
 #include "graphene/messages.hpp"
 #include "graphene/params.hpp"
@@ -79,7 +80,7 @@ class ReceiveSession {
   /// Parameters chosen by build_request() — exposed for the benchmarks that
   /// decompose message sizes (Fig. 17).
   [[nodiscard]] const Protocol2Params& request_params() const noexcept {
-    return params2_;
+    return client_.request_params();
   }
 
   /// Candidate-set size |Z| observed right after filtering the mempool
@@ -87,9 +88,11 @@ class ReceiveSession {
   [[nodiscard]] std::uint64_t observed_z() const noexcept { return z_; }
 
  private:
-  ReceiveOutcome finalize(std::vector<std::uint64_t> unresolved, bool used_pingpong);
-  void index_candidate(const chain::TxId& id);
-  [[nodiscard]] std::uint64_t sid(const chain::TxId& id) const noexcept;
+  /// Maps the engine's resolved candidates (or its unresolved short IDs) to
+  /// an outcome, checking the block's Merkle root.
+  ReceiveOutcome finalize(bool used_pingpong);
+  /// Keeps a transaction that arrived over the wire and indexes its txid.
+  void receive_tx(const chain::Transaction& tx);
   /// Snapshot of the protocol position for errors and trace records.
   [[nodiscard]] ErrorContext error_context() const noexcept;
   /// Records an `error` trace span + counter, then throws ProtocolError.
@@ -103,17 +106,13 @@ class ReceiveSession {
 
   // Protocol state (valid between receive_block and completion).
   GrapheneBlockMsg msg_{};
-  Protocol2Params params2_{};
   bool have_block_msg_ = false;
   std::uint64_t z_ = 0;
 
-  /// Candidate block membership: short id → txid, plus txn storage for
-  /// transactions that arrived over the wire rather than from the mempool.
-  std::unordered_map<std::uint64_t, chain::TxId> sid_to_txid_;
-  std::unordered_set<std::uint64_t> ambiguous_sids_;
-  std::unordered_set<chain::TxId, chain::TxIdHasher> candidates_;
+  /// Candidate block membership, plus storage for transactions that arrived
+  /// over the wire rather than from the mempool.
+  GrapheneClient client_;
   std::unordered_map<chain::TxId, chain::Transaction, chain::TxIdHasher> received_txns_;
-  std::vector<std::uint64_t> pending_unresolved_;
 };
 
 /// Long-lived per-node receiver: binds a mempool + config and mints

@@ -1,9 +1,10 @@
-// Sender-side protocol engine (Protocols 1 and 2, §3.1–§3.2).
+// Sender side of block relay (Protocols 1 and 2, §3.1–§3.2): an adapter
+// that runs the engine (engine.hpp) over the block's txids, maps its
+// results back to transactions, and records the sender's telemetry.
 #pragma once
 
-#include <unordered_map>
-
 #include "chain/block.hpp"
+#include "graphene/engine.hpp"
 #include "graphene/messages.hpp"
 #include "graphene/params.hpp"
 
@@ -38,18 +39,17 @@ class Sender {
   [[nodiscard]] RepairResponseMsg serve_repair(const RepairRequestMsg& request) const;
 
   [[nodiscard]] const chain::Block& block() const noexcept { return block_; }
-  [[nodiscard]] std::uint64_t salt() const noexcept { return salt_; }
+  [[nodiscard]] std::uint64_t salt() const noexcept { return host_.salt(); }
 
  private:
   chain::Block block_;
-  std::uint64_t salt_;
   ProtocolConfig cfg_;
-  std::vector<std::uint64_t> short_ids_;  // aligned with block_.transactions()
-  std::unordered_map<std::uint64_t, const chain::Transaction*> by_short_id_;
+  GrapheneHost host_;  // items aligned with block_.transactions()
 };
 
-/// Short-ID derivation shared by sender and receiver: SipHash-keyed under
-/// `salt` when cfg.keyed_short_ids, else the txid's first 8 bytes.
+/// The block-relay short ID (core::short_id under kBlockRelayFormat):
+/// SipHash-keyed under `salt` when cfg.keyed_short_ids, else the txid's
+/// first 8 bytes.
 [[nodiscard]] std::uint64_t derive_short_id(const chain::TxId& id, std::uint64_t salt,
                                             const ProtocolConfig& cfg) noexcept;
 

@@ -20,6 +20,7 @@
 //   error                                    (diagnostic context on throws)
 #pragma once
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -112,6 +113,36 @@ class ScopedSpan {
   (void)reg;
   return nullptr;
 #endif
+}
+
+/// Appends one flight event with numeric attributes when a recorder is
+/// attached (see flight()); a no-op otherwise.
+inline void record(Registry* reg, FlightEventKind kind, std::string_view label,
+                   std::initializer_list<std::pair<const char*, double>> attrs) {
+  FlightRecorder* fr = flight(reg);
+  if (fr == nullptr) return;
+  FlightEvent e;
+  e.kind = kind;
+  e.label = label;
+  e.attrs.reserve(attrs.size());
+  for (const auto& [k, v] : attrs) e.attrs.emplace_back(k, v);
+  fr->record(std::move(e));
+}
+
+/// record() for a message event: `msg`'s serialized bytes ride along while
+/// the recorder's wire capture is on, so a failed session can be replayed.
+template <typename Msg>
+void record_msg(Registry* reg, FlightEventKind kind, std::string_view label, const Msg& msg,
+                std::initializer_list<std::pair<const char*, double>> attrs) {
+  FlightRecorder* fr = flight(reg);
+  if (fr == nullptr) return;
+  FlightEvent e;
+  e.kind = kind;
+  e.label = label;
+  if (fr->wire_capture()) e.wire = msg.serialize();
+  e.attrs.reserve(attrs.size());
+  for (const auto& [k, v] : attrs) e.attrs.emplace_back(k, v);
+  fr->record(std::move(e));
 }
 
 }  // namespace graphene::obs

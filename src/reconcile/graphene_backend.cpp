@@ -2,12 +2,7 @@
 
 #include <algorithm>
 
-#include "bloom/bloom_math.hpp"
-#include "graphene/bounds.hpp"
 #include "graphene/errors.hpp"
-#include "iblt/param_cache.hpp"
-#include "iblt/param_table.hpp"
-#include "iblt/pingpong.hpp"
 #include "reconcile/flight.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
@@ -16,50 +11,13 @@ namespace graphene::reconcile {
 
 namespace {
 
+using detail::parse_payload;
 using detail::record_decode;
-using detail::record_msg;
-
-std::uint64_t short_id_of(const ItemDigest& d, std::uint64_t salt,
-                          const core::ProtocolConfig& cfg) noexcept {
-  if (cfg.keyed_short_ids) {
-    return util::siphash24(util::SipHashKey{salt, salt ^ 0x6a09e667f3bcc908ULL},
-                           util::ByteView(d.data(), d.size()));
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(d[static_cast<std::size_t>(i)]) << (8 * i);
-  return v;
-}
+using obs::record_msg;
 
 util::ByteView view(const ItemDigest& d) noexcept {
   return util::ByteView(d.data(), d.size());
 }
-
-/// Snapshots an iteration of `items` (digest pointers stay valid — the
-/// containers are node- or array-backed and unmodified during a pass) plus
-/// the matching view array for the batch filter primitives.
-struct DigestPass {
-  std::vector<const ItemDigest*> digests;
-  std::vector<util::ByteView> views;
-
-  template <typename Container>
-  explicit DigestPass(const Container& items) {
-    digests.reserve(items.size());
-    views.reserve(items.size());
-    for (const ItemDigest& d : items) {
-      digests.push_back(&d);
-      views.push_back(view(d));
-    }
-  }
-
-  /// hit[i] = 1 iff views[i] passes `filter`.
-  [[nodiscard]] std::vector<std::uint8_t> scan(const bloom::BloomFilter& filter) const {
-    std::vector<std::uint8_t> hit(views.size());
-    bloom::contains_all(filter, views.data(), views.size(), hit.data());
-    return hit;
-  }
-};
-
-using detail::parse_payload;
 
 }  // namespace
 
@@ -216,127 +174,47 @@ FetchResponse FetchResponse::deserialize(util::ByteReader& reader) {
 
 GrapheneHostBackend::GrapheneHostBackend(const ItemSet& items, std::uint64_t salt,
                                          core::ProtocolConfig cfg)
-    : items_(&items), salt_(salt), cfg_(cfg) {}
+    : cfg_(cfg),
+      host_(std::vector<ItemDigest>(items.begin(), items.end()), salt,
+            core::kReconcileFormat, cfg_) {}
 
-Offer GrapheneHostBackend::make_offer(std::uint64_t client_count) const {
-  const std::uint64_t n = items_->size();
-  const core::Protocol1Params params =
-      core::optimize_protocol1(n, std::max(client_count, n), cfg_);
-
+WireMsg GrapheneHostBackend::open(std::uint64_t client_count) {
+  const core::Protocol1Params params = host_.size_offer(client_count);
   Offer offer;
-  offer.count = n;
-  offer.salt = salt_;
-  offer.filter = bloom::BloomFilter(std::max<std::uint64_t>(n, 1), params.fpr,
-                                    salt_ ^ 0x0ffe12, cfg_.bloom_strategy);
-  offer.correction = iblt::Iblt(params.iblt, salt_);
-  const DigestPass pass(*items_);
-  offer.filter.insert_batch(pass.views.data(), pass.views.size());
-  std::vector<std::uint64_t> sids;
-  sids.reserve(n);
-  for (const ItemDigest* d : pass.digests) {
-    const std::uint64_t sid = short_id_of(*d, salt_, cfg_);
-    sids.push_back(sid);
-    offer.set_checksum ^= util::mix64(sid);
-  }
-  offer.correction.insert_all(sids);
+  offer.count = host_.size();
+  offer.salt = host_.salt();
+  for (const std::uint64_t sid : host_.short_ids()) offer.set_checksum ^= util::mix64(sid);
+  offer.filter = host_.build_s(params);
+  offer.correction = host_.build_i(params);
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "offer", offer,
-             {{"count", static_cast<double>(n)},
+             {{"count", static_cast<double>(offer.count)},
               {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
               {"iblt_cells", static_cast<double>(offer.correction.cell_count())}});
-  return offer;
+  return {net::MessageType::kReconcileOffer, offer.serialize()};
 }
 
 Response GrapheneHostBackend::serve(const Request& request) const {
-  // Revalidate the sizing parameters even though the deserializer caps each
-  // field: serve() is also reachable with an in-memory request, and
-  // b + y_star sizes the correction IBLT allocated below — two fields at
-  // their individual caps would otherwise allocate a multi-hundred-MB table.
-  if (request.b > util::wire::kMaxSizingParam ||
-      request.y_star > util::wire::kMaxSizingParam ||
-      request.b + request.y_star > util::wire::kMaxIbltCells ||
-      request.candidate_count > util::wire::kMaxWireCollection ||
-      !(request.fpr_r > 0.0 && request.fpr_r <= 1.0)) {
-    core::ErrorContext ctx;
-    ctx.n = items_->size();
-    ctx.z = request.candidate_count;
-    ctx.y_star = request.y_star;
-    ctx.b = request.b;
-    if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
-      obs::FlightEvent e;
-      e.kind = obs::FlightEventKind::kError;
-      e.label = "reconcile_serve";
-      e.attrs = {{"n", static_cast<double>(ctx.n)},
-                 {"z", static_cast<double>(ctx.z)},
-                 {"y_star", static_cast<double>(ctx.y_star)},
-                 {"b", static_cast<double>(ctx.b)}};
-      fr->record(std::move(e));
-    }
-    throw core::ProtocolError("reconcile_serve",
-                              "request sizing parameters out of range", ctx);
+  obs::Registry* reg = obs::enabled(cfg_.obs);
+  core::GrapheneHost::Served served;
+  try {
+    served = host_.serve({request.candidate_count, request.b, request.y_star,
+                          request.fpr_r, request.reversed, &request.filter});
+  } catch (const core::ProtocolError& e) {
+    core::record_rejection(reg, e);
+    throw;
   }
-
   Response resp;
-  const std::uint64_t n = items_->size();
-
-  std::vector<const ItemDigest*> passed;
-  passed.reserve(n);
-  const DigestPass pass(*items_);
-  {
-    const std::vector<std::uint8_t> hit = pass.scan(request.filter);
-    for (std::size_t i = 0; i < pass.digests.size(); ++i) {
-      if (hit[i] != 0) {
-        passed.push_back(pass.digests[i]);
-      } else {
-        resp.missing.push_back(*pass.digests[i]);
-      }
-    }
-  }
-
-  // Canonicalize: the scan above visits items in hash-table iteration order,
-  // which is an artifact of the in-memory DigestHasher — left unsorted it
-  // would leak onto the wire and change whenever the hasher does. Missing
-  // items are a set; emit them in digest order so Response bytes are a pure
-  // function of the sets (pinned by the golden-wire test).
+  resp.missing.reserve(served.missing.size());
+  for (const std::size_t i : served.missing) resp.missing.push_back(host_.items()[i]);
+  // Canonicalize: the item list follows hash-table iteration order, an
+  // artifact of the in-memory DigestHasher — left unsorted it would leak
+  // onto the wire and change whenever the hasher does. Missing items are a
+  // set; emit them in digest order so Response bytes are a pure function of
+  // the sets (pinned by the golden-wire test).
   std::sort(resp.missing.begin(), resp.missing.end());
-
-  std::uint64_t j_items = request.b + request.y_star;
-  if (request.reversed) {
-    const std::uint64_t z_s = passed.size();
-    const std::uint64_t x_s = core::bound_x_star(z_s, n, request.candidate_count,
-                                                 request.fpr_r, cfg_.beta);
-    const std::uint64_t y_s = core::bound_y_star(n, x_s, request.fpr_r, cfg_.beta);
-    const std::uint64_t denom = std::max<std::uint64_t>(
-        1, request.candidate_count > x_s ? request.candidate_count - x_s : 1);
-
-    std::uint64_t best_b = 1;
-    std::size_t best_total = SIZE_MAX;
-    for (std::uint64_t b = 1; b <= denom; b = (b < 128 ? b + 1 : b + b / 8)) {
-      const double f_f = std::min(1.0, static_cast<double>(b) / static_cast<double>(denom));
-      const std::size_t total = bloom::serialized_bytes(z_s, f_f) +
-                                iblt::cached_iblt_bytes(cfg_.param_cache, b + y_s, cfg_.fail_denom);
-      if (total < best_total) {
-        best_total = total;
-        best_b = b;
-      }
-    }
-    const double f_f = std::min(1.0, static_cast<double>(best_b) / static_cast<double>(denom));
-    bloom::BloomFilter comp(std::max<std::uint64_t>(z_s, 1), f_f, salt_ ^ 0xc0ffee,
-                            cfg_.bloom_strategy);
-    std::vector<util::ByteView> passed_views;
-    passed_views.reserve(passed.size());
-    for (const ItemDigest* d : passed) passed_views.push_back(view(*d));
-    comp.insert_batch(passed_views.data(), passed_views.size());
-    resp.compensation = std::move(comp);
-    j_items = best_b + y_s;
-  }
-
-  resp.correction =
-      iblt::Iblt(iblt::cached_params(cfg_.param_cache, j_items, cfg_.fail_denom), salt_ + 1);
-  std::vector<std::uint64_t> sids;
-  sids.reserve(pass.digests.size());
-  for (const ItemDigest* d : pass.digests) sids.push_back(short_id_of(*d, salt_, cfg_));
-  resp.correction.insert_all(sids);
-  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "response", resp,
+  resp.correction = std::move(served.iblt_j);
+  resp.compensation = std::move(served.filter_f);
+  record_msg(reg, obs::FlightEventKind::kMsgSent, "response", resp,
              {{"missing", static_cast<double>(resp.missing.size())},
               {"j_cells", static_cast<double>(resp.correction.cell_count())},
               {"reversed", request.reversed ? 1.0 : 0.0}});
@@ -345,21 +223,13 @@ Response GrapheneHostBackend::serve(const Request& request) const {
 
 FetchResponse GrapheneHostBackend::serve_fetch(const FetchRequest& request) const {
   FetchResponse resp;
-  std::unordered_map<std::uint64_t, const ItemDigest*> by_sid;
-  by_sid.reserve(items_->size());
-  for (const ItemDigest& d : *items_) by_sid.emplace(short_id_of(d, salt_, cfg_), &d);
-  for (const std::uint64_t s : request.short_ids) {
-    const auto it = by_sid.find(s);
-    if (it != by_sid.end()) resp.items.push_back(*it->second);
+  for (const std::size_t i : host_.fetch(request.short_ids)) {
+    resp.items.push_back(host_.items()[i]);
   }
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "fetchresp", resp,
              {{"requested", static_cast<double>(request.short_ids.size())},
               {"served", static_cast<double>(resp.items.size())}});
   return resp;
-}
-
-WireMsg GrapheneHostBackend::open(std::uint64_t client_count) {
-  return {net::MessageType::kReconcileOffer, make_offer(client_count).serialize()};
 }
 
 WireMsg GrapheneHostBackend::serve_wire(const WireMsg& request) {
@@ -376,7 +246,7 @@ WireMsg GrapheneHostBackend::serve_wire(const WireMsg& request) {
     default: break;
   }
   core::ErrorContext ctx;
-  ctx.n = items_->size();
+  ctx.n = host_.size();
   throw core::ProtocolError("reconcile_serve",
                             "unexpected message type for graphene backend", ctx);
 }
@@ -385,89 +255,38 @@ WireMsg GrapheneHostBackend::serve_wire(const WireMsg& request) {
 
 GrapheneClientBackend::GrapheneClientBackend(const ItemSet& items,
                                              core::ProtocolConfig cfg)
-    : items_(&items), cfg_(cfg) {}
+    : items_(&items), cfg_(cfg), client_(core::kReconcileFormat, cfg_) {}
 
-std::uint64_t GrapheneClientBackend::sid(const ItemDigest& d) const noexcept {
-  return short_id_of(d, offer_.salt, cfg_);
-}
-
-std::vector<std::uint64_t> GrapheneClientBackend::candidate_sids() const {
-  std::vector<std::uint64_t> sids;
-  sids.reserve(candidates_.size());
-  for (const ItemDigest& d : candidates_) sids.push_back(sid(d));
-  return sids;
-}
-
-void GrapheneClientBackend::index(const ItemDigest& d) {
-  const std::uint64_t s = sid(d);
-  const auto [it, inserted] = sid_to_digest_.emplace(s, d);
-  if (!inserted && it->second != d) ambiguous_.insert(s);
-  candidates_.insert(d);
-}
-
-Outcome GrapheneClientBackend::absorb(const Offer& offer) {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
-  record_msg(reg, obs::FlightEventKind::kMsgReceived, "offer", offer,
-             {{"count", static_cast<double>(offer.count)},
-              {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
-              {"iblt_cells", static_cast<double>(offer.correction.cell_count())}});
-  const auto finish = [reg](Outcome out) {
-    record_decode(reg, "reconcile_p1", out.status);
-    return out;
-  };
-  offer_ = offer;
-  sid_to_digest_.clear();
-  ambiguous_.clear();
-  candidates_.clear();
-
-  {
-    const DigestPass pass(*items_);
-    const std::vector<std::uint8_t> hit = pass.scan(offer.filter);
-    for (std::size_t i = 0; i < pass.digests.size(); ++i) {
-      if (hit[i] != 0) index(*pass.digests[i]);
-    }
-  }
-
-  iblt::Iblt mine(iblt::IbltParams{offer.correction.hash_count(),
-                                   offer.correction.cell_count()},
-                  offer.correction.seed());
-  mine.insert_all(candidate_sids());
-
-  const iblt::DecodeResult dec = offer.correction.subtract(mine).decode();
+Outcome GrapheneClientBackend::absorb_offer() {
+  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgReceived, "offer", offer_,
+             {{"count", static_cast<double>(offer_.count)},
+              {"bloom_bytes", static_cast<double>(offer_.filter.serialized_size())},
+              {"iblt_cells", static_cast<double>(offer_.correction.cell_count())}});
+  client_.begin(offer_.salt);
+  client_.index_passing(*items_, offer_.filter);
+  iblt::DecodeResult dec;
   Outcome out;
-  if (dec.malformed || !dec.success || !dec.positives.empty()) {
-    out.status = dec.malformed ? Outcome::Status::kFailed : Outcome::Status::kNeedsRequest;
-    return finish(out);
+  switch (client_.peel_offer(offer_.correction, dec)) {
+    case core::GrapheneClient::Step::kResolved: return finalize();
+    case core::GrapheneClient::Step::kFailed: out.status = Outcome::Status::kFailed; break;
+    default: out.status = Outcome::Status::kNeedsRequest; break;
   }
-  for (const std::uint64_t s : dec.negatives) {
-    const auto it = sid_to_digest_.find(s);
-    if (it == sid_to_digest_.end() || ambiguous_.count(s) > 0) {
-      out.status = Outcome::Status::kNeedsRequest;
-      return finish(out);
-    }
-    candidates_.erase(it->second);
-  }
-  return finish(finalize());
+  return out;
 }
 
 Request GrapheneClientBackend::make_request() {
-  const std::uint64_t z = candidates_.size();
-  const double f_s = bloom::expected_fpr(offer_.filter.bit_count(),
-                                         offer_.filter.hash_count(), offer_.count);
-  params2_ = core::optimize_protocol2(z, items_->size(), offer_.count, f_s, cfg_);
-
+  double f_s = 0;
+  const core::Protocol2Params params =
+      client_.size_request(items_->size(), offer_.count, offer_.filter, f_s);
   Request req;
-  req.candidate_count = z;
-  req.b = params2_.b;
-  req.y_star = params2_.y_star;
-  req.fpr_r = params2_.fpr;
-  req.reversed = params2_.reversed;
-  req.filter = bloom::BloomFilter(std::max<std::uint64_t>(z, 1), params2_.fpr,
-                                  offer_.salt ^ 0x4ece55, cfg_.bloom_strategy);
-  const DigestPass pass(candidates_);
-  req.filter.insert_batch(pass.views.data(), pass.views.size());
+  req.candidate_count = client_.candidates().size();
+  req.b = params.b;
+  req.y_star = params.y_star;
+  req.fpr_r = params.fpr;
+  req.reversed = params.reversed;
+  req.filter = client_.build_r();
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "request", req,
-             {{"z", static_cast<double>(z)},
+             {{"z", static_cast<double>(req.candidate_count)},
               {"b", static_cast<double>(req.b)},
               {"y_star", static_cast<double>(req.y_star)},
               {"fpr_r", req.fpr_r},
@@ -476,100 +295,30 @@ Request GrapheneClientBackend::make_request() {
 }
 
 Outcome GrapheneClientBackend::complete(const Response& response) {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
-  record_msg(reg, obs::FlightEventKind::kMsgReceived, "response", response,
+  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgReceived, "response",
+             response,
              {{"missing", static_cast<double>(response.missing.size())},
               {"j_cells", static_cast<double>(response.correction.cell_count())},
               {"has_compensation", response.compensation.has_value() ? 1.0 : 0.0}});
-  const auto finish = [reg](Outcome out) {
-    record_decode(reg, "reconcile_p2", out.status);
-    return out;
-  };
+  client_.prune(response.compensation);
+  for (const ItemDigest& d : response.missing) client_.index(d);
   Outcome out;
-
-  if (params2_.reversed && response.compensation.has_value()) {
-    const DigestPass pass(candidates_);
-    const std::vector<std::uint8_t> hit = pass.scan(*response.compensation);
-    for (std::size_t i = 0; i < pass.digests.size(); ++i) {
-      if (hit[i] == 0) candidates_.erase(*pass.digests[i]);
-    }
+  switch (client_.decode_correction(response.correction, offer_.correction)) {
+    case core::GrapheneClient::Step::kResolved: return finalize();
+    case core::GrapheneClient::Step::kNeedsFetch:
+      out.status = Outcome::Status::kNeedsFetch;
+      out.unresolved = client_.unresolved();
+      return out;
+    default: out.status = Outcome::Status::kFailed; return out;
   }
-  for (const ItemDigest& d : response.missing) index(d);
-
-  iblt::Iblt mine(iblt::IbltParams{response.correction.hash_count(),
-                                   response.correction.cell_count()},
-                  response.correction.seed());
-  mine.insert_all(candidate_sids());
-
-  const iblt::Iblt diff_j = response.correction.subtract(mine);
-  iblt::DecodeResult dec = diff_j.decode();
-  if (!dec.success && !dec.malformed && cfg_.enable_pingpong) {
-    // §4.2 ping-pong: the offer's IBLT covers the same item pair.
-    iblt::Iblt offer_mine(iblt::IbltParams{offer_.correction.hash_count(),
-                                           offer_.correction.cell_count()},
-                          offer_.correction.seed());
-    offer_mine.insert_all(candidate_sids());
-    const iblt::PingPongResult pp =
-        iblt::pingpong_decode(diff_j, offer_.correction.subtract(offer_mine));
-    if (pp.malformed) {
-      out.status = Outcome::Status::kFailed;
-      return finish(out);
-    }
-    dec.success = pp.success;
-    dec.positives = pp.positives;
-    dec.negatives = pp.negatives;
-  }
-  if (dec.malformed || !dec.success) {
-    out.status = Outcome::Status::kFailed;
-    return finish(out);
-  }
-  for (const std::uint64_t s : dec.negatives) {
-    const auto it = sid_to_digest_.find(s);
-    if (it == sid_to_digest_.end() || ambiguous_.count(s) > 0) {
-      out.status = Outcome::Status::kFailed;
-      return finish(out);
-    }
-    candidates_.erase(it->second);
-  }
-  std::vector<std::uint64_t> unresolved;
-  for (const std::uint64_t s : dec.positives) {
-    const auto it = sid_to_digest_.find(s);
-    if (it != sid_to_digest_.end() && ambiguous_.count(s) == 0) {
-      candidates_.insert(it->second);
-    } else {
-      unresolved.push_back(s);
-    }
-  }
-  if (!unresolved.empty()) {
-    pending_fetch_ = unresolved;
-    out.status = Outcome::Status::kNeedsFetch;
-    out.unresolved = std::move(unresolved);
-    return finish(out);
-  }
-  return finish(finalize());
 }
 
-FetchRequest GrapheneClientBackend::make_fetch() const {
-  FetchRequest req;
-  req.short_ids = pending_fetch_;
-  return req;
-}
-
-Outcome GrapheneClientBackend::complete_fetch(const FetchResponse& response) {
-  for (const ItemDigest& d : response.items) index(d);
-  pending_fetch_.clear();
-  Outcome out = finalize();
-  record_decode(obs::enabled(cfg_.obs), "reconcile_fetch", out.status);
-  return out;
-}
-
-Outcome GrapheneClientBackend::finalize() {
+Outcome GrapheneClientBackend::finalize() const {
   Outcome out;
-  std::uint64_t checksum = 0;
-  for (const ItemDigest& d : candidates_) checksum ^= util::mix64(sid(d));
-  if (candidates_.size() == offer_.count && checksum == offer_.set_checksum) {
+  if (client_.candidates().size() == offer_.count &&
+      client_.checksum() == offer_.set_checksum) {
     out.status = Outcome::Status::kComplete;
-    out.host_set = candidates_;
+    out.host_set = client_.candidates();
   } else {
     out.status = Outcome::Status::kNeedsRequest;
   }
@@ -579,23 +328,25 @@ Outcome GrapheneClientBackend::finalize() {
 // --- wire-driven session ----------------------------------------------------
 
 Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
+  obs::Registry* reg = obs::enabled(cfg_.obs);
   Outcome out;
   switch (msg.type) {
     case net::MessageType::kReconcileOffer: {
       if (phase_ != Phase::kAwaitOffer) break;
-      out = absorb(parse_payload<Offer>(msg, "reconcile::Offer"));
+      offer_ = parse_payload<Offer>(msg, "reconcile::Offer");
+      out = absorb_offer();
+      record_decode(reg, "reconcile_p1", out.status);
       phase_ = out.status == Outcome::Status::kNeedsRequest ? Phase::kAwaitResponse
                                                             : Phase::kDone;
       last_status_ = out.status;
       return out;
     }
     case net::MessageType::kReconcileResponse: {
-      if (phase_ != Phase::kAwaitResponse || last_status_ != Outcome::Status::kNeedsRequest) break;
+      if (phase_ != Phase::kAwaitResponse) break;
       out = complete(parse_payload<Response>(msg, "reconcile::Response"));
-      // The typed API reports a post-repair checksum mismatch as
-      // kNeedsRequest so single-round callers can see why finalize failed,
-      // but the repair round is spent: for the driver that status is
-      // terminal, not a license to loop.
+      record_decode(reg, "reconcile_p2", out.status);
+      // A post-repair checksum mismatch leaves nothing to ask for: the
+      // repair round is spent, so the session fails rather than looping.
       if (out.status == Outcome::Status::kNeedsRequest) out.status = Outcome::Status::kFailed;
       phase_ = out.status == Outcome::Status::kNeedsFetch ? Phase::kAwaitFetch
                                                           : Phase::kDone;
@@ -603,8 +354,14 @@ Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
       return out;
     }
     case net::MessageType::kReconcileFetchResponse: {
-      if (phase_ != Phase::kAwaitFetch || last_status_ != Outcome::Status::kNeedsFetch) break;
-      out = complete_fetch(parse_payload<FetchResponse>(msg, "reconcile::FetchResponse"));
+      if (phase_ != Phase::kAwaitFetch) break;
+      for (const ItemDigest& d :
+           parse_payload<FetchResponse>(msg, "reconcile::FetchResponse").items) {
+        client_.index(d);
+      }
+      client_.clear_unresolved();
+      out = finalize();
+      record_decode(reg, "reconcile_fetch", out.status);
       if (out.status != Outcome::Status::kComplete) out.status = Outcome::Status::kFailed;
       phase_ = Phase::kDone;
       last_status_ = out.status;
@@ -623,7 +380,8 @@ WireMsg GrapheneClientBackend::next_request() {
     return {net::MessageType::kReconcileRequest, make_request().serialize()};
   }
   if (last_status_ == Outcome::Status::kNeedsFetch) {
-    return {net::MessageType::kReconcileFetch, make_fetch().serialize()};
+    return {net::MessageType::kReconcileFetch,
+            FetchRequest{client_.unresolved()}.serialize()};
   }
   throw std::logic_error("reconcile: next_request() without a pending round");
 }

@@ -1,11 +1,10 @@
 // GrapheneBackend: the paper's Bloom + IBLT construction behind the
-// ReconcilerBackend seam.
-//
-// The typed messages and the host/client logic here are the pre-seam
-// reconcile::Host/Client moved verbatim — the wire formats are pinned
-// bit-for-bit by tests/reconcile/test_backend.cpp golden hashes. The only
-// new code is the WireMsg dispatch layer (open/serve_wire/absorb_wire/
-// next_request) that lets the generic driver run this backend.
+// ReconcilerBackend seam, as an adapter over the Graphene engine
+// (graphene/engine.hpp) with the reconcile wire format (kReconcileFormat).
+// The adapter owns the message family below, the wire dispatch and phase
+// machine, the flight events, and the final count-plus-checksum check; the
+// protocol steps are the engine's. The wire bytes are pinned by
+// tests/reconcile/test_backend.cpp golden hashes.
 //
 //   Offer     — host's digest of its set (Bloom filter S + IBLT I)
 //   Request   — client's repair request when the offer alone is not
@@ -16,11 +15,9 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "graphene/messages.hpp"
+#include "graphene/engine.hpp"
 #include "graphene/params.hpp"
 #include "reconcile/backend.hpp"
 #include "reconcile/types.hpp"
@@ -96,66 +93,48 @@ struct FetchResponse {
   static FetchResponse deserialize(util::ByteReader& reader);
 };
 
-/// Graphene host backend. The item set is borrowed from the session driver
-/// and fixed for the backend's lifetime. The typed methods (make_offer,
-/// serve, serve_fetch) are const and usable directly — reconcile::Host
-/// forwards to them for API compatibility.
+/// Graphene host backend. The item set is copied into the engine at
+/// construction and fixed for the backend's lifetime.
 class GrapheneHostBackend final : public HostBackend {
  public:
   GrapheneHostBackend(const ItemSet& items, std::uint64_t salt,
                       core::ProtocolConfig cfg);
 
-  [[nodiscard]] Offer make_offer(std::uint64_t client_count) const;
-  [[nodiscard]] Response serve(const Request& request) const;
-  [[nodiscard]] FetchResponse serve_fetch(const FetchRequest& request) const;
-
   [[nodiscard]] WireMsg open(std::uint64_t client_count) override;
   [[nodiscard]] WireMsg serve_wire(const WireMsg& request) override;
 
  private:
-  const ItemSet* items_;
-  std::uint64_t salt_;
+  [[nodiscard]] Response serve(const Request& request) const;
+  [[nodiscard]] FetchResponse serve_fetch(const FetchRequest& request) const;
+
   core::ProtocolConfig cfg_;
+  core::GrapheneHost host_;
 };
 
-/// Graphene client backend; drives the one-way reconciliation. After
-/// `absorb(offer)` either the host set is known, or `make_request()` /
-/// `complete(response)` runs the recovery round (+ fetch when short IDs
-/// stay unresolved).
+/// Graphene client backend; drives the one-way reconciliation. After the
+/// offer either the host set is known, or a request/response round runs
+/// the recovery (+ a fetch round when short IDs stay unresolved).
 class GrapheneClientBackend final : public ClientBackend {
  public:
   GrapheneClientBackend(const ItemSet& items, core::ProtocolConfig cfg);
-
-  Outcome absorb(const Offer& offer);
-  [[nodiscard]] Request make_request();
-  Outcome complete(const Response& response);
-  [[nodiscard]] FetchRequest make_fetch() const;
-  Outcome complete_fetch(const FetchResponse& response);
 
   [[nodiscard]] Outcome absorb_wire(const WireMsg& msg) override;
   [[nodiscard]] WireMsg next_request() override;
 
  private:
-  /// Where the wire-driven session stands; used to map a repeat
-  /// kNeedsRequest (which the typed API surfaces for single-round callers)
-  /// to a terminal kFailed so the generic driver cannot loop.
+  /// Where the session stands; a message out of phase fails it.
   enum class Phase : std::uint8_t { kAwaitOffer, kAwaitResponse, kAwaitFetch, kDone };
 
-  Outcome finalize();
-  [[nodiscard]] std::uint64_t sid(const ItemDigest& d) const noexcept;
-  void index(const ItemDigest& d);
-  /// Short IDs of the current candidate set, in iteration order — the batch
-  /// input for the IBLT mirror builds.
-  [[nodiscard]] std::vector<std::uint64_t> candidate_sids() const;
+  [[nodiscard]] Outcome absorb_offer();
+  [[nodiscard]] Request make_request();
+  [[nodiscard]] Outcome complete(const Response& response);
+  /// kComplete when the candidates match the offer's count and checksum.
+  [[nodiscard]] Outcome finalize() const;
 
   const ItemSet* items_;
   core::ProtocolConfig cfg_;
   Offer offer_{};
-  core::Protocol2Params params2_{};
-  std::unordered_map<std::uint64_t, ItemDigest> sid_to_digest_;
-  std::unordered_set<std::uint64_t> ambiguous_;
-  ItemSet candidates_;
-  std::vector<std::uint64_t> pending_fetch_;
+  core::GrapheneClient client_;
   Phase phase_ = Phase::kAwaitOffer;
   Outcome::Status last_status_ = Outcome::Status::kFailed;
 };

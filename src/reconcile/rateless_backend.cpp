@@ -14,7 +14,7 @@ namespace {
 
 using detail::parse_payload;
 using detail::record_decode;
-using detail::record_msg;
+using obs::record_msg;
 
 }  // namespace
 

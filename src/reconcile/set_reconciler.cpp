@@ -1,6 +1,5 @@
 #include "reconcile/set_reconciler.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "util/sha256.hpp"
@@ -9,67 +8,21 @@ namespace graphene::reconcile {
 
 ItemDigest digest_of(util::ByteView data) noexcept { return util::sha256(data); }
 
-// --- host driver ------------------------------------------------------------
+// --- session drivers ----------------------------------------------------------
 
 Host::Host(ItemSet items, std::uint64_t salt, core::ProtocolConfig cfg)
-    : items_(std::move(items)), backend_(make_host_backend(items_, salt, cfg)) {
-  graphene_ = dynamic_cast<GrapheneHostBackend*>(backend_.get());
-}
-
-const GrapheneHostBackend& Host::graphene() const {
-  if (graphene_ == nullptr) {
-    throw std::logic_error(
-        "reconcile::Host: typed Graphene API requires ReconcileBackend::kGraphene");
-  }
-  return *graphene_;
-}
+    : items_(std::move(items)), backend_(make_host_backend(items_, salt, cfg)) {}
 
 WireMsg Host::open(std::uint64_t client_count) { return backend_->open(client_count); }
 
 WireMsg Host::serve_wire(const WireMsg& request) { return backend_->serve_wire(request); }
 
-Offer Host::make_offer(std::uint64_t client_count) const {
-  return graphene().make_offer(client_count);
-}
-
-Response Host::serve(const Request& request) const { return graphene().serve(request); }
-
-FetchResponse Host::serve_fetch(const FetchRequest& request) const {
-  return graphene().serve_fetch(request);
-}
-
-// --- client driver ----------------------------------------------------------
-
 Client::Client(const ItemSet& items, core::ProtocolConfig cfg)
-    : items_(&items), cfg_(cfg), backend_(make_client_backend(items, cfg)) {
-  graphene_ = dynamic_cast<GrapheneClientBackend*>(backend_.get());
-}
-
-GrapheneClientBackend& Client::graphene() const {
-  if (graphene_ == nullptr) {
-    throw std::logic_error(
-        "reconcile::Client: typed Graphene API requires ReconcileBackend::kGraphene");
-  }
-  return *graphene_;
-}
+    : items_(&items), cfg_(cfg), backend_(make_client_backend(items, cfg)) {}
 
 Outcome Client::absorb_wire(const WireMsg& msg) { return backend_->absorb_wire(msg); }
 
 WireMsg Client::next_request() { return backend_->next_request(); }
-
-Outcome Client::absorb(const Offer& offer) { return graphene().absorb(offer); }
-
-Request Client::make_request() { return graphene().make_request(); }
-
-Outcome Client::complete(const Response& response) {
-  return graphene().complete(response);
-}
-
-FetchRequest Client::make_fetch() const { return graphene().make_fetch(); }
-
-Outcome Client::complete_fetch(const FetchResponse& response) {
-  return graphene().complete_fetch(response);
-}
 
 // --- drivers ----------------------------------------------------------------
 
@@ -100,34 +53,6 @@ SyncStats reconcile_one_way(Host& host, Client& client, Outcome& outcome) {
   // `cap` rounds is cut off as failed rather than trusted to converge.
   if (needs_more(outcome.status)) outcome.status = Outcome::Status::kFailed;
   stats.symbols_consumed = outcome.symbols_consumed;
-  stats.success = outcome.status == Outcome::Status::kComplete;
-  return stats;
-}
-
-SyncStats reconcile_one_way(const Host& host, Client& client, const Offer& offer,
-                            Outcome& outcome) {
-  SyncStats stats;
-  stats.round_bytes.push_back(offer.serialize().size());
-  stats.round_trips = 1;
-  outcome = client.absorb(offer);
-  if (outcome.status == Outcome::Status::kNeedsRequest) {
-    stats.used_request_round = true;
-    const Request req = client.make_request();
-    stats.round_bytes.push_back(req.serialize().size());
-    const Response resp = host.serve(req);
-    stats.round_bytes.push_back(resp.serialize().size());
-    ++stats.round_trips;
-    outcome = client.complete(resp);
-  }
-  if (outcome.status == Outcome::Status::kNeedsFetch) {
-    stats.used_fetch_round = true;
-    const FetchRequest freq = client.make_fetch();
-    stats.round_bytes.push_back(freq.serialize().size());
-    const FetchResponse fresp = host.serve_fetch(freq);
-    stats.round_bytes.push_back(fresp.serialize().size());
-    ++stats.round_trips;
-    outcome = client.complete_fetch(fresp);
-  }
   stats.success = outcome.status == Outcome::Status::kComplete;
   return stats;
 }

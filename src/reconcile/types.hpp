@@ -7,36 +7,20 @@
 // header cycle.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
+#include "graphene/engine.hpp"
 #include "util/bytes.hpp"
-#include "util/hash.hpp"
 
 namespace graphene::reconcile {
 
 /// Items are identified by 32-byte digests (e.g. SHA-256 of the record).
-using ItemDigest = std::array<std::uint8_t, 32>;
-
-struct DigestHasher {
-  std::size_t operator()(const ItemDigest& d) const noexcept {
-    // Chain-mix all four 64-bit words of the digest. The previous version
-    // folded only bytes 0–7, so digests agreeing in their first eight bytes
-    // — exactly what an adversary can grind for — landed in one bucket and
-    // degraded every ItemSet to a linked list. Word extraction reuses the
-    // endian-stable §6.3 splitter; the mixing chain stays off the wire, so
-    // this is a pure in-memory change.
-    const std::array<std::uint64_t, 4> words =
-        util::split_digest_words(util::ByteView(d.data(), d.size()));
-    std::uint64_t h = 0x243f6a8885a308d3ULL;
-    for (const std::uint64_t w : words) h = util::mix64(h ^ w);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-using ItemSet = std::unordered_set<ItemDigest, DigestHasher>;
+using ItemDigest = core::Digest;
+/// Mixes all four words of a digest, so digests that agree in their first
+/// eight bytes (which an adversary can grind for) spread over the buckets.
+using DigestHasher = core::DigestHasher;
+using ItemSet = core::DigestSet;
 
 /// Result of a client-side reconciliation step.
 struct Outcome {

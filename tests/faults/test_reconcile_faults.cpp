@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "graphene/errors.hpp"
+#include "reconcile/graphene_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
 #include "testkit/faulty_channel.hpp"
 #include "testkit/gen.hpp"
@@ -31,19 +32,21 @@ enum class End : std::uint8_t { kExactSet, kTypedError, kAborted, kWrongSet };
 
 constexpr int kMaxAttemptsPerStep = 3;
 
-template <typename Msg>
-std::optional<Msg> deliver(testkit::FaultyChannel& ch, net::Direction dir, const Msg& msg) {
-  const util::Bytes encoded = msg.serialize();
+/// Ships `msg` through the faulty channel and hands each copy that arrives
+/// to `consume` (the peer's wire entry point) until one parses. A payload
+/// that fails to parse leaves the peer untouched, so the next copy — or a
+/// resend — gets a clean try. nullopt when every attempt is lost or garbled.
+template <typename Consume>
+auto deliver(testkit::FaultyChannel& ch, net::Direction dir, const WireMsg& msg,
+             Consume&& consume) -> std::optional<decltype(consume(msg))> {
   for (int attempt = 0; attempt < kMaxAttemptsPerStep; ++attempt) {
-    std::vector<util::Bytes> buffers =
-        ch.transmit(dir, net::MessageType::kInv, encoded);
+    std::vector<util::Bytes> buffers = ch.transmit(dir, net::MessageType::kInv, msg.payload);
     if (attempt + 1 == kMaxAttemptsPerStep) {
       for (util::Bytes& held : ch.flush(dir)) buffers.push_back(std::move(held));
     }
-    for (const util::Bytes& b : buffers) {
+    for (util::Bytes& b : buffers) {
       try {
-        util::ByteReader reader(b);
-        return Msg::deserialize(reader);
+        return consume(WireMsg{msg.type, std::move(b)});
       } catch (const util::DeserializeError&) {
       }
     }
@@ -62,44 +65,28 @@ End run_reconcile_through_faults(util::Rng& rng, const testkit::FaultSpec& fault
   }
   for (const ItemDigest& d : random_set(rng, rng.below(300))) client_items.insert(d);
 
-  const Host host(host_items, /*salt=*/rng.next());
+  Host host(host_items, /*salt=*/rng.next());
   Client client(client_items);
   testkit::FaultyChannel ch(faults);
-
-  const auto classify = [&](const Outcome& out) {
-    if (out.status != Outcome::Status::kComplete) return End::kTypedError;
-    return out.host_set == host.items() ? End::kExactSet : End::kWrongSet;
-  };
+  const auto to_client = [&](const WireMsg& m) { return client.absorb_wire(m); };
+  const auto to_host = [&](const WireMsg& m) { return host.serve_wire(m); };
 
   try {
-    const auto offer = deliver(ch, net::Direction::kSenderToReceiver,
-                               host.make_offer(client_items.size()));
-    if (!offer) return End::kAborted;
-    Outcome out = client.absorb(*offer);
-
-    if (out.status == Outcome::Status::kNeedsRequest) {
-      const auto request =
-          deliver(ch, net::Direction::kReceiverToSender, client.make_request());
-      if (!request) return End::kAborted;
-      const auto response =
-          deliver(ch, net::Direction::kSenderToReceiver, host.serve(*request));
-      if (!response) return End::kAborted;
-      out = client.complete(*response);
+    std::optional<Outcome> out = deliver(ch, net::Direction::kSenderToReceiver,
+                                         host.open(client_items.size()), to_client);
+    // Offer, then at most the request and fetch rounds; the cap only
+    // guards the loop.
+    for (int round = 0; out && needs_more(out->status) && round < 4; ++round) {
+      const std::optional<WireMsg> reply =
+          deliver(ch, net::Direction::kReceiverToSender, client.next_request(), to_host);
+      if (!reply) return End::kAborted;
+      out = deliver(ch, net::Direction::kSenderToReceiver, *reply, to_client);
     }
-
-    if (out.status == Outcome::Status::kNeedsFetch) {
-      const auto fetch_req =
-          deliver(ch, net::Direction::kReceiverToSender, client.make_fetch());
-      if (!fetch_req) return End::kAborted;
-      const auto fetch =
-          deliver(ch, net::Direction::kSenderToReceiver, host.serve_fetch(*fetch_req));
-      if (!fetch) return End::kAborted;
-      out = client.complete_fetch(*fetch);
-    }
-
+    if (!out) return End::kAborted;
     // Any state still short of kComplete after the protocol's rounds is a
     // bounded, reported failure — the checksum refused to certify.
-    return classify(out);
+    if (out->status != Outcome::Status::kComplete) return End::kTypedError;
+    return out->host_set == host.items() ? End::kExactSet : End::kWrongSet;
   } catch (const core::ProtocolError&) {
     return End::kTypedError;
   } catch (const util::DeserializeError&) {
@@ -153,26 +140,37 @@ TEST(ReconcileFaults, CleanLinkReconcilesExactly) {
 }
 
 TEST(ReconcileFaults, HostRejectsOversizedRequestSizing) {
-  // Regression guard for the Host::serve revalidation: a request whose
+  // Regression guard for the host's serve revalidation: a request whose
   // fields pass the individual wire caps but whose b + y* would allocate an
   // IBLT beyond kMaxIbltCells must throw a typed error, not allocate.
   util::Rng rng(91);
-  const Host host(random_set(rng, 20), 5);
+  const ItemSet items = random_set(rng, 20);
+  Host host(items, 5);
   Request req;
   req.candidate_count = 10;
   req.b = util::wire::kMaxSizingParam;
   req.y_star = util::wire::kMaxSizingParam;
   req.fpr_r = 0.1;
   req.filter = bloom::BloomFilter(10, 0.1, 1);
-  EXPECT_THROW(host.serve(req), core::ProtocolError);
+  EXPECT_THROW((void)host.serve_wire({net::MessageType::kReconcileRequest, req.serialize()}),
+               core::ProtocolError);
 
+  // An FPR outside (0, 1] never reaches the host over the wire (the
+  // deserializer rejects it); the engine's own guard rejects it in memory.
   Request nan_req;
   nan_req.candidate_count = 10;
   nan_req.b = 1;
   nan_req.y_star = 1;
   nan_req.fpr_r = 0.0;  // out of (0, 1]
   nan_req.filter = bloom::BloomFilter(10, 0.1, 1);
-  EXPECT_THROW(host.serve(nan_req), core::ProtocolError);
+  EXPECT_THROW(
+      (void)host.serve_wire({net::MessageType::kReconcileRequest, nan_req.serialize()}),
+      util::DeserializeError);
+  const core::GrapheneHost engine(std::vector<ItemDigest>(items.begin(), items.end()), 5,
+                                  core::kReconcileFormat, {});
+  EXPECT_THROW(engine.check({nan_req.candidate_count, nan_req.b, nan_req.y_star,
+                             nan_req.fpr_r, nan_req.reversed, &nan_req.filter}),
+               core::ProtocolError);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "iblt/iblt.hpp"
 #include "iblt/strata_estimator.hpp"
 #include "reconcile/rateless_backend.hpp"
+#include "reconcile/graphene_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
 #include "util/bytes.hpp"
 #include "util/random.hpp"

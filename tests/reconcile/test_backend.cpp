@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "graphene/errors.hpp"
+#include "reconcile/graphene_backend.hpp"
 #include "reconcile/rateless_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
 #include "testkit/gen.hpp"
@@ -59,26 +59,39 @@ core::ProtocolConfig rateless_cfg() {
 // sorted-digest order — the one deliberate canonicalization — and these pins
 // bake that in.)
 
+/// Parses a whole payload as the typed message it carries.
+template <typename Msg>
+Msg parsed(const WireMsg& msg) {
+  util::ByteReader reader{util::ByteView(msg.payload)};
+  Msg out = Msg::deserialize(reader);
+  EXPECT_TRUE(reader.done());
+  return out;
+}
+
 TEST(BackendGoldenWire, DisjointHeavyScenarioPinsHold) {
   const ItemSet host_items = pinned_items(0x9001, 300);
   ItemSet client_items = pinned_items(0x9002, 100);
   const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
   for (std::size_t i = 0; i < 200; ++i) client_items.insert(host_sorted[i]);
 
-  const Host host(host_items, 0x5a17);
+  Host host(host_items, 0x5a17);
   Client client(client_items);
-  const Offer offer = host.make_offer(client_items.size());
-  EXPECT_EQ(pin(offer.serialize()),
+  const WireMsg offer = host.open(client_items.size());
+  ASSERT_EQ(offer.type, net::MessageType::kReconcileOffer);
+  EXPECT_EQ(pin(offer.payload),
             "ee194862bb3502e2bb8f245ec147e71101f4504265fbe4f57eb731845953547d");
-  const Outcome o1 = client.absorb(offer);
+  const Outcome o1 = client.absorb_wire(offer);
   ASSERT_EQ(o1.status, Outcome::Status::kNeedsRequest);
-  const Request req = client.make_request();
-  EXPECT_EQ(pin(req.serialize()),
+  const WireMsg req = client.next_request();
+  ASSERT_EQ(req.type, net::MessageType::kReconcileRequest);
+  EXPECT_EQ(pin(req.payload),
             "29a18609c37b86678f2d1324c17c9b80ebdff7be16ac62ba937ea808e2616f4f");
-  const Response resp = host.serve(req);
-  EXPECT_EQ(pin(resp.serialize()),
+  const WireMsg resp = host.serve_wire(req);
+  ASSERT_EQ(resp.type, net::MessageType::kReconcileResponse);
+  EXPECT_EQ(pin(resp.payload),
             "58360ef3d2432e359c3707b07209b2122fdbbf01879bbdcecfe0ac28290f3e1b");
-  EXPECT_TRUE(std::is_sorted(resp.missing.begin(), resp.missing.end()));
+  const Response typed = parsed<Response>(resp);
+  EXPECT_TRUE(std::is_sorted(typed.missing.begin(), typed.missing.end()));
 }
 
 TEST(BackendGoldenWire, SupersetClientScenarioPinsHold) {
@@ -86,12 +99,12 @@ TEST(BackendGoldenWire, SupersetClientScenarioPinsHold) {
   ItemSet client_items = host_items;
   for (const ItemDigest& d : pinned_items(0xb002, 50)) client_items.insert(d);
 
-  const Host host(host_items, 0xfeed);
+  Host host(host_items, 0xfeed);
   Client client(client_items);
-  const Offer offer = host.make_offer(client_items.size());
-  EXPECT_EQ(pin(offer.serialize()),
+  const WireMsg offer = host.open(client_items.size());
+  EXPECT_EQ(pin(offer.payload),
             "9cf9932d42b24aee38953a6eaf34d22303e2dab35203a4cf54fd1e0370f9be7e");
-  EXPECT_EQ(client.absorb(offer).status, Outcome::Status::kComplete);
+  EXPECT_EQ(client.absorb_wire(offer).status, Outcome::Status::kComplete);
 }
 
 TEST(BackendGoldenWire, ReversedPathScenarioPinsHoldThroughFetch) {
@@ -100,27 +113,29 @@ TEST(BackendGoldenWire, ReversedPathScenarioPinsHoldThroughFetch) {
   const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
   for (std::size_t i = 0; i < 380; ++i) client_items.insert(host_sorted[i]);
 
-  const Host host(host_items, 0xc0de);
+  Host host(host_items, 0xc0de);
   Client client(client_items);
-  const Offer offer = host.make_offer(client_items.size());
-  EXPECT_EQ(pin(offer.serialize()),
+  const WireMsg offer = host.open(client_items.size());
+  EXPECT_EQ(pin(offer.payload),
             "11229fdbf6604900ce01c5d8dbb21be542a63962869e8c1d15bc7b605a2a1b2a");
-  ASSERT_EQ(client.absorb(offer).status, Outcome::Status::kNeedsRequest);
-  const Request req = client.make_request();
-  EXPECT_TRUE(req.reversed);
-  EXPECT_EQ(pin(req.serialize()),
+  ASSERT_EQ(client.absorb_wire(offer).status, Outcome::Status::kNeedsRequest);
+  const WireMsg req = client.next_request();
+  EXPECT_TRUE(parsed<Request>(req).reversed);
+  EXPECT_EQ(pin(req.payload),
             "46d4854362074b2202a9c2b638ef1a2832558384f8fea8fe82e6d2a5e962f9b2");
-  const Response resp = host.serve(req);
-  EXPECT_EQ(pin(resp.serialize()),
+  const WireMsg resp = host.serve_wire(req);
+  EXPECT_EQ(pin(resp.payload),
             "6e334829a72e6b127af8bce905e41aa198d8c5087757188c087ed743427683bb");
-  ASSERT_EQ(client.complete(resp).status, Outcome::Status::kNeedsFetch);
-  const FetchRequest freq = client.make_fetch();
-  EXPECT_EQ(pin(freq.serialize()),
+  ASSERT_EQ(client.absorb_wire(resp).status, Outcome::Status::kNeedsFetch);
+  const WireMsg freq = client.next_request();
+  ASSERT_EQ(freq.type, net::MessageType::kReconcileFetch);
+  EXPECT_EQ(pin(freq.payload),
             "ef8423963c3ef769a5f57051257af18c62636b121fdc7f8b264266256751af25");
-  const FetchResponse fresp = host.serve_fetch(freq);
-  EXPECT_EQ(pin(fresp.serialize()),
+  const WireMsg fresp = host.serve_wire(freq);
+  ASSERT_EQ(fresp.type, net::MessageType::kReconcileFetchResponse);
+  EXPECT_EQ(pin(fresp.payload),
             "489c6cd12b823efc5f45a578ea50265cea105d22362a0c72193068663eaf5e51");
-  const Outcome fin = client.complete_fetch(fresp);
+  const Outcome fin = client.absorb_wire(fresp);
   EXPECT_EQ(fin.status, Outcome::Status::kComplete);
   EXPECT_EQ(fin.host_set, host_items);
 }
@@ -226,7 +241,7 @@ TEST(BackendGoldenWire, LatticePinHolds) {
 
 // --- The backend-agnostic driver -------------------------------------------
 
-TEST(BackendDriver, WireDriverMatchesTypedGrapheneFlow) {
+TEST(BackendDriver, WireDriverMatchesManualExchange) {
   util::Rng rng(21);
   for (int t = 0; t < 5; ++t) {
     const ItemSet host_items = pinned_items(rng.next(), 300);
@@ -235,26 +250,33 @@ TEST(BackendDriver, WireDriverMatchesTypedGrapheneFlow) {
     for (std::size_t i = 0; i < 250; ++i) client_items.insert(host_sorted[i]);
     const std::uint64_t salt = rng.next();
 
-    Host wire_host(host_items, salt);
-    Client wire_client(client_items);
-    Outcome wire_out;
-    const SyncStats wire_stats = reconcile_one_way(wire_host, wire_client, wire_out);
+    Host driven_host(host_items, salt);
+    Client driven_client(client_items);
+    Outcome driven_out;
+    const SyncStats stats = reconcile_one_way(driven_host, driven_client, driven_out);
 
-    const Host typed_host(host_items, salt);
-    Client typed_client(client_items);
-    Outcome typed_out;
-    const SyncStats typed_stats = reconcile_one_way(
-        typed_host, typed_client, typed_host.make_offer(client_items.size()),
-        typed_out);
+    // The same session stepped by hand, one message at a time.
+    Host host(host_items, salt);
+    Client client(client_items);
+    WireMsg msg = host.open(client_items.size());
+    std::vector<std::size_t> round_bytes = {msg.payload.size()};
+    Outcome out = client.absorb_wire(msg);
+    while (needs_more(out.status)) {
+      ASSERT_LT(round_bytes.size(), 8u);
+      const WireMsg req = client.next_request();
+      msg = host.serve_wire(req);
+      round_bytes.push_back(req.payload.size());
+      round_bytes.push_back(msg.payload.size());
+      out = client.absorb_wire(msg);
+    }
 
-    EXPECT_EQ(wire_stats.success, typed_stats.success);
-    EXPECT_EQ(wire_out.status, typed_out.status);
-    if (wire_stats.success) {
-      EXPECT_EQ(wire_out.host_set, host_items);
-      EXPECT_EQ(typed_out.host_set, host_items);
-      // Same messages, same sizes: the wire driver only adds framing-free
-      // payload accounting.
-      EXPECT_EQ(wire_stats.round_bytes, typed_stats.round_bytes);
+    EXPECT_EQ(stats.success, out.status == Outcome::Status::kComplete);
+    EXPECT_EQ(driven_out.status, out.status);
+    EXPECT_EQ(stats.round_bytes, round_bytes);
+    EXPECT_EQ(stats.round_trips, (round_bytes.size() + 1) / 2);
+    if (stats.success) {
+      EXPECT_EQ(driven_out.host_set, host_items);
+      EXPECT_EQ(out.host_set, host_items);
     }
   }
 }
@@ -341,15 +363,6 @@ TEST(RatelessBackend, EmptyHostSetCompletesTrivially) {
   const SyncStats stats = reconcile_one_way(host, client, out);
   ASSERT_TRUE(stats.success);
   EXPECT_TRUE(out.host_set.empty());
-}
-
-TEST(RatelessBackend, TypedGrapheneApiThrowsLogicError) {
-  util::Rng rng(33);
-  const ItemSet items = pinned_items(rng.next(), 20);
-  const Host host(items, 1, rateless_cfg());
-  EXPECT_THROW((void)host.make_offer(20), std::logic_error);
-  Client client(items, rateless_cfg());
-  EXPECT_THROW((void)client.absorb(Offer{}), std::logic_error);
 }
 
 TEST(RatelessBackend, ChunkReServesAreByteIdentical) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "reconcile/graphene_backend.hpp"
 #include "util/random.hpp"
+#include "util/sha256.hpp"
 
 namespace graphene::reconcile {
 namespace {
@@ -43,9 +45,9 @@ SyncSetup make_setup(std::size_t host_count, std::size_t overlap, std::size_t ex
 TEST(SetReconciler, OfferAloneSufficesWhenClientHasSuperset) {
   util::Rng rng(1);
   const SyncSetup s = make_setup(500, 500, 500, rng);
-  const Host host(s.host_items, rng.next());
+  Host host(s.host_items, rng.next());
   Client client(s.client_items);
-  const Outcome out = client.absorb(host.make_offer(s.client_items.size()));
+  const Outcome out = client.absorb_wire(host.open(s.client_items.size()));
   ASSERT_EQ(out.status, Outcome::Status::kComplete);
   EXPECT_EQ(out.host_set, s.host_items);
 }
@@ -61,11 +63,10 @@ TEST_P(ReconcileOverlapSweep, FullRoundRecoversHostSet) {
     const std::size_t host_count = 400;
     const auto overlap = static_cast<std::size_t>(overlap_frac * host_count);
     const SyncSetup s = make_setup(host_count, overlap, 200, rng);
-    const Host host(s.host_items, rng.next());
+    Host host(s.host_items, rng.next());
     Client client(s.client_items);
     Outcome out;
-    const SyncStats stats =
-        reconcile_one_way(host, client, host.make_offer(s.client_items.size()), out);
+    const SyncStats stats = reconcile_one_way(host, client, out);
     if (stats.success) {
       ++complete;
       EXPECT_EQ(out.host_set, s.host_items);
@@ -87,65 +88,71 @@ TEST(SetReconciler, CrliteStyleRevocationCheck) {
   const ItemSet newly_revoked = random_items(50, rng);
   revocations.insert(newly_revoked.begin(), newly_revoked.end());
 
-  const Host ca(revocations, rng.next());
+  Host ca(revocations, rng.next());
   Client checker(client);
   Outcome out;
-  const SyncStats stats =
-      reconcile_one_way(ca, checker, ca.make_offer(client.size()), out);
+  const SyncStats stats = reconcile_one_way(ca, checker, out);
   ASSERT_TRUE(stats.success);
   for (const ItemDigest& d : newly_revoked) EXPECT_TRUE(out.host_set.count(d) > 0);
   // Far cheaper than shipping 1050 × 32-byte digests.
   EXPECT_LT(stats.total_bytes(), 1050u * 32u / 2u);
 }
 
+/// Parses a whole payload as `Msg` and checks that it re-serializes to the
+/// same bytes.
+template <typename Msg>
+Msg round_trip(const WireMsg& msg) {
+  util::ByteReader reader{util::ByteView(msg.payload)};
+  Msg parsed = Msg::deserialize(reader);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(parsed.serialize(), msg.payload);
+  return parsed;
+}
+
 TEST(SetReconciler, WireRoundTripOfAllMessages) {
   util::Rng rng(5);
   const SyncSetup s = make_setup(300, 200, 100, rng);
-  const Host host(s.host_items, rng.next());
+  Host host(s.host_items, rng.next());
   Client client(s.client_items);
 
-  const Offer offer = host.make_offer(s.client_items.size());
-  util::Bytes offer_wire = offer.serialize();
-  EXPECT_EQ(offer_wire.size(), offer.serialized_size());
-  util::ByteReader ro{util::ByteView(offer_wire)};
-  const Offer offer2 = Offer::deserialize(ro);
-  EXPECT_EQ(offer2.count, offer.count);
-  EXPECT_EQ(offer2.set_checksum, offer.set_checksum);
+  const WireMsg offer_msg = host.open(s.client_items.size());
+  const Offer offer = round_trip<Offer>(offer_msg);
+  EXPECT_EQ(offer_msg.payload.size(), offer.serialized_size());
+  EXPECT_EQ(offer.count, s.host_items.size());
 
-  Outcome out = client.absorb(offer2);
-  if (out.status == Outcome::Status::kNeedsRequest) {
-    const Request req = client.make_request();
-    util::Bytes req_wire = req.serialize();
-    util::ByteReader rr{util::ByteView(req_wire)};
-    const Request req2 = Request::deserialize(rr);
-    EXPECT_EQ(req2.b, req.b);
-    EXPECT_DOUBLE_EQ(req2.fpr_r, req.fpr_r);
-
-    const Response resp = host.serve(req2);
-    util::Bytes resp_wire = resp.serialize();
-    util::ByteReader rs{util::ByteView(resp_wire)};
-    out = client.complete(Response::deserialize(rs));
+  Outcome out = client.absorb_wire(offer_msg);
+  std::vector<net::MessageType> types;
+  while (needs_more(out.status)) {
+    ASSERT_LT(types.size(), 4u);
+    const WireMsg req = client.next_request();
+    const WireMsg resp = host.serve_wire(req);
+    types.push_back(req.type);
+    if (req.type == net::MessageType::kReconcileRequest) {
+      const Request r = round_trip<Request>(req);
+      EXPECT_GT(r.b, 0u);
+      EXPECT_GT(r.fpr_r, 0.0);
+      (void)round_trip<Response>(resp);
+    } else {
+      ASSERT_EQ(req.type, net::MessageType::kReconcileFetch);
+      EXPECT_EQ(round_trip<FetchRequest>(req).short_ids.size(),
+                round_trip<FetchResponse>(resp).items.size());
+    }
+    out = client.absorb_wire(resp);
   }
-  if (out.status == Outcome::Status::kNeedsFetch) {
-    const FetchRequest freq = client.make_fetch();
-    util::Bytes freq_wire = freq.serialize();
-    util::ByteReader rf{util::ByteView(freq_wire)};
-    const FetchResponse fresp = host.serve_fetch(FetchRequest::deserialize(rf));
-    util::Bytes fresp_wire = fresp.serialize();
-    util::ByteReader rg{util::ByteView(fresp_wire)};
-    out = client.complete_fetch(FetchResponse::deserialize(rg));
-  }
+  EXPECT_FALSE(types.empty());  // 100 host items are missing: Protocol 2 runs
   EXPECT_EQ(out.status, Outcome::Status::kComplete);
 }
 
 TEST(SetReconciler, ChecksumCatchesWrongFinalSet) {
   util::Rng rng(6);
   const SyncSetup s = make_setup(100, 100, 0, rng);
-  const Host host(s.host_items, rng.next());
+  Host host(s.host_items, rng.next());
   Client client(s.client_items);
-  Offer offer = host.make_offer(s.client_items.size());
+  WireMsg msg = host.open(s.client_items.size());
+  Offer offer = round_trip<Offer>(msg);
   offer.set_checksum ^= 0xdeadbeef;  // corrupted commitment
-  const Outcome out = client.absorb(offer);
+  msg.payload = offer.serialize();
+  const Outcome out = client.absorb_wire(msg);
   EXPECT_NE(out.status, Outcome::Status::kComplete);
 }
 
@@ -157,9 +164,9 @@ TEST(SetReconciler, DigestOfIsSha256) {
 TEST(SetReconciler, EmptyHostSetCompletesTrivially) {
   util::Rng rng(7);
   const ItemSet client_items = random_items(50, rng);
-  const Host host(ItemSet{}, rng.next());
+  Host host(ItemSet{}, rng.next());
   Client client(client_items);
-  const Outcome out = client.absorb(host.make_offer(client_items.size()));
+  const Outcome out = client.absorb_wire(host.open(client_items.size()));
   EXPECT_EQ(out.status, Outcome::Status::kComplete);
   EXPECT_TRUE(out.host_set.empty());
 }
