@@ -158,11 +158,31 @@ void RelayDaemon::stop() {
     if (it == conns_.end()) continue;
     Conn& conn = *it->second;
     std::vector<net::Message> out;
+    // What the peer already sent (a final bye still in the kernel buffer)
+    // counts: one bounded, non-blocking read pass before the close.
+    if (!conn.draining && !conn.paused) read_before_stop(conn, out);
     conn.session.close(CloseReason::kShutdown, ErrorCode::kShutdown,
                        "daemon: shutting down", out);
     queue_messages(conn, out);
     flush_writes(conn);  // one best-effort pass; a bounded abort, not a drain
     finish_conn(conn);
+  }
+}
+
+void RelayDaemon::read_before_stop(Conn& conn, std::vector<net::Message>& out) {
+  std::uint8_t buf[65536];
+  const std::uint64_t now = obs::monotonic_ns();
+  std::size_t budget = opts_.limits.send_queue_cap;  // a peer still sending cannot pin stop()
+  while (budget > 0 && !conn.session.closed()) {
+    const ssize_t n = ::read(conn.fd, buf, std::min(sizeof buf, budget));
+    if (n > 0) {
+      budget -= static_cast<std::size_t>(n);
+      bytes_in_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
+      (void)conn.session.on_bytes(now, util::ByteView(buf, static_cast<std::size_t>(n)), out);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return;  // EAGAIN (nothing more sent), EOF, or a dead transport
   }
 }
 

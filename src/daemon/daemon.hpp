@@ -87,8 +87,9 @@ class RelayDaemon {
   /// Spawns the service thread. stop() (or destruction) ends it.
   void start();
 
-  /// Requests a halt, joins the service thread, and closes every surviving
-  /// connection with a typed kShutdown abort. Idempotent. Also the
+  /// Requests a halt, joins the service thread, reads what each surviving
+  /// connection's peer already sent (so a bye in flight is counted), then
+  /// closes it with a typed kShutdown abort. Idempotent. Also the
   /// single-threaded finalizer when start() was never called.
   void stop();
 
@@ -116,6 +117,9 @@ class RelayDaemon {
   void handle_readable(Conn& conn);
   void queue_messages(Conn& conn, const std::vector<net::Message>& msgs);
   bool flush_writes(Conn& conn);  ///< false: transport dead (EPIPE/reset)
+  /// stop(): feeds what the peer already sent through the session, up to
+  /// send_queue_cap bytes, stopping at EAGAIN.
+  void read_before_stop(Conn& conn, std::vector<net::Message>& out);
   void update_interest(Conn& conn);
   void begin_drain_or_close(Conn& conn);
   void finish_conn(Conn& conn);

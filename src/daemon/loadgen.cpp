@@ -36,6 +36,7 @@ struct ClientConn {
   std::size_t out_pos = 0;
   std::uint32_t sessions_done = 0;
   std::uint64_t session_start_ns = 0;
+  std::uint32_t interest = 0;  ///< epoll mask currently registered
   bool connecting = true;  ///< nonblocking connect still in flight
   bool done = false;       ///< all sessions finished; draining, then close
 
@@ -116,6 +117,7 @@ class Worker {
       ++result_.conn_errors;
       return;
     }
+    conn->interest = ev.events;
     conns_.emplace(fd, std::move(conn));
   }
 
@@ -250,12 +252,15 @@ class Worker {
     return true;
   }
 
+  /// Re-registers the epoll mask only when it changes.
   void update_interest(ClientConn& conn) {
+    std::uint32_t want = EPOLLIN;
+    if (conn.connecting || conn.pending() > 0) want |= EPOLLOUT;
+    if (want == conn.interest) return;
     epoll_event ev{};
-    ev.events = EPOLLIN;
-    if (conn.connecting || conn.pending() > 0) ev.events |= EPOLLOUT;
+    ev.events = want;
     ev.data.fd = conn.fd;
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0) conn.interest = want;
   }
 
   void drop(ClientConn& conn, bool error) {

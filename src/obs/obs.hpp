@@ -10,11 +10,15 @@
 //     to the registry's TraceSink and (b) feeds the `graphene_stage_ns`
 //     histogram family labeled by stage.
 //
-// Stage names emitted by the pipeline, in protocol order:
+// Stage names emitted by the block-relay pipeline, in protocol order. The
+// block-relay adapters (Sender, ReceiveSession) record them around the
+// Graphene engine's steps; the engine itself and the reconcile backends
+// record no spans.
 //   p1_optimize, sfilter_build, iblt_build   (Sender::encode)
 //   p1_candidates, p1_peel                   (ReceiveSession::receive_block)
 //   thm_bounds, rfilter_build                (ReceiveSession::build_request)
 //   p2_serve, p2_fallback                    (Sender::serve)
+//   repair_serve                             (Sender::serve_repair)
 //   p2_peel, pingpong                        (ReceiveSession::complete)
 //   repair                                   (ReceiveSession::complete_repair)
 //   error                                    (diagnostic context on throws)

@@ -5,8 +5,8 @@
 // via core::ProtocolConfig::reconcile_backend. Two backends ship today:
 //
 //   GrapheneBackend      — the paper's Bloom + IBLT offer with Protocol 2
-//                          repair and short-ID fetch rounds (graphene_backend.hpp);
-//                          wire bytes are bit-identical to the pre-seam code.
+//                          repair and short-ID fetch rounds (graphene_backend.hpp),
+//                          an adapter over the engine block relay also runs.
 //   RatelessIbltBackend  — a coded-symbol stream (arXiv 2402.02668) where
 //                          decode failure is not a failure mode: the client
 //                          just asks for more symbols (rateless_backend.hpp).

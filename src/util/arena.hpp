@@ -1,6 +1,6 @@
 // Bump-pointer arena for per-session scratch buffers.
 //
-// The protocol hot paths (Sender::serve/encode, ReceiveSession::scan_ids)
+// The protocol hot paths (the Graphene engine's filter builds and scans)
 // repeatedly allocate short-lived vectors whose sizes track the mempool —
 // tens of thousands of entries churned per served request. An arena turns
 // that into pointer arithmetic: allocate_span() hands out uninitialized

@@ -8,6 +8,8 @@
 // On shutdown the daemon aborts in-flight sessions with a typed error and
 // prints its lifetime stats.
 #include <chrono>
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -31,9 +33,25 @@ void usage(std::FILE* out, const char* argv0) {
                argv0);
 }
 
-std::uint64_t flag_u64(int argc, char** argv, const char* name, std::uint64_t fallback) {
+/// The value of flag `name` (or `fallback` when absent) as a whole number in
+/// [0, max]: decimal, 0x hex or 0-prefixed octal. Garbage, trailing
+/// characters, a sign or an out-of-range value print the usage and exit 2.
+std::uint64_t flag_u64(int argc, char** argv, const char* name, std::uint64_t fallback,
+                       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::strtoull(argv[i + 1], nullptr, 0);
+    if (std::strcmp(argv[i], name) != 0) continue;
+    const char* text = argv[i + 1];
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 0);
+    if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 || errno != 0 ||
+        *end != '\0' || value > max) {
+      std::fprintf(stderr, "%s: bad value for %s: '%s' (want 0..%llu)\n", argv[0], name, text,
+                   static_cast<unsigned long long>(max));
+      usage(stderr, argv[0]);
+      std::exit(2);
+    }
+    return value;
   }
   return fallback;
 }
@@ -56,22 +74,17 @@ int main(int argc, char** argv) {
     }
   }
   const char* host = flag_str(argc, argv, "--host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(flag_u64(argc, argv, "--port", 9723));
+  const auto port = static_cast<std::uint16_t>(
+      flag_u64(argc, argv, "--port", 9723, std::numeric_limits<std::uint16_t>::max()));
   const std::uint64_t items = flag_u64(argc, argv, "--items", 500);
   const std::uint64_t seed = flag_u64(argc, argv, "--seed", 0x5eed);
 
   iblt::ParamCache cache;
   daemon::DaemonOptions opts;
   opts.protocol.param_cache = &cache;
-  const std::uint64_t max_conns = flag_u64(argc, argv, "--max-conns", opts.max_connections);
-  if (max_conns > std::numeric_limits<decltype(opts.max_connections)>::max()) {
-    std::fprintf(stderr, "graphene_relayd: --max-conns %llu exceeds %u\n",
-                 static_cast<unsigned long long>(max_conns),
-                 std::numeric_limits<decltype(opts.max_connections)>::max());
-    usage(stderr, argv[0]);
-    return 2;
-  }
-  opts.max_connections = static_cast<std::uint32_t>(max_conns);
+  opts.max_connections = static_cast<std::uint32_t>(
+      flag_u64(argc, argv, "--max-conns", opts.max_connections,
+               std::numeric_limits<decltype(opts.max_connections)>::max()));
 
   daemon::RelayDaemon served(tools::host_set(seed, items), opts);
   const std::uint16_t bound = served.listen(host, port);

@@ -102,16 +102,39 @@ RE_INTRINSIC_CALL = re.compile(
 )
 
 
-def tracked_cpp_files():
-    out = subprocess.run(
-        ["git", "ls-files"], cwd=REPO_ROOT, capture_output=True, text=True, check=True
-    ).stdout
-    return [
-        Path(p)
-        for p in out.splitlines()
-        if Path(p).suffix in CPP_SUFFIXES
-        and not p.startswith(EXCLUDED_PREFIXES)
-    ]
+def _lintable(rel: str) -> bool:
+    return Path(rel).suffix in CPP_SUFFIXES and not rel.startswith(EXCLUDED_PREFIXES)
+
+
+def _walk_cpp_files(root: Path):
+    """Every C++ file under `root`, as repo-relative POSIX paths, skipping
+    hidden directories and CMake build trees (any directory holding a
+    CMakeCache.txt): the files a source export of the repo carries."""
+    found = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(
+            d for d in dirnames
+            if not d.startswith(".") and not (Path(dirpath) / d / "CMakeCache.txt").exists()
+        )
+        for name in filenames:
+            rel = (Path(dirpath) / name).relative_to(root).as_posix()
+            if _lintable(rel):
+                found.append(rel)
+    return found
+
+
+def tracked_cpp_files(root: Path = REPO_ROOT):
+    """The C++ files the default sweep lints: `git ls-files` in a work tree,
+    else (an exported tree, or no git at all) a walk of `root` with the same
+    filters."""
+    try:
+        out = subprocess.run(
+            ["git", "ls-files"], cwd=root, capture_output=True, text=True, check=True
+        ).stdout
+        rels = [p for p in out.splitlines() if _lintable(p)]
+    except (OSError, subprocess.CalledProcessError):
+        rels = _walk_cpp_files(root)
+    return [Path(p) for p in sorted(rels)]
 
 
 def strip_comments_and_strings(line: str) -> str:

@@ -10,7 +10,9 @@ EXCLUDED_PREFIXES so the repo-wide sweep never trips over it.
 
 import importlib.util
 import os
+import shutil
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -173,6 +175,36 @@ class TierSelection(unittest.TestCase):
                              f"{rel} should be excluded from the sweep")
             self.assertFalse(str(rel).startswith("tools/tests/fixtures/"),
                              f"{rel} should be excluded from the sweep")
+
+
+class ExportedTree(unittest.TestCase):
+    """Outside a git work tree (a source export), file discovery walks the
+    tree and must find exactly the files `git ls-files` lists."""
+
+    def test_walk_finds_the_tracked_set(self):
+        repo = Path(lint.REPO_ROOT)
+        tracked = [rel for rel in lint.tracked_cpp_files() if (repo / rel).is_file()]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "export"
+            extras = [
+                # Files a checkout carries that the sweep must still skip.
+                "tools/tests/fixtures/lint/wire_violations.cpp",
+                "tools/tidy-plugin/test/fixtures/raw-clock/violation.cpp",
+                "README.md",
+            ]
+            for rel in [*map(str, tracked), *extras]:
+                dst = root / rel
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(repo / rel, dst)
+            # Build output: a CMake build tree and a hidden directory.
+            (root / "build" / "CMakeFiles").mkdir(parents=True)
+            (root / "build" / "CMakeCache.txt").write_text("")
+            (root / "build" / "CMakeFiles" / "CMakeCXXCompilerId.cpp").write_text("")
+            (root / ".bench_build").mkdir()
+            (root / ".bench_build" / "stray.cpp").write_text("")
+            self.assertFalse((root / ".git").exists())
+            self.assertEqual(lint.tracked_cpp_files(root), tracked)
+            self.assertEqual([Path(p) for p in sorted(lint._walk_cpp_files(root))], tracked)
 
 
 class RepoIsClean(unittest.TestCase):
