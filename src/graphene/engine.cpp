@@ -297,7 +297,8 @@ GrapheneClient::Step GrapheneClient::resolve_correction() {
     candidates_.erase(it->second);
   }
   for (const std::uint64_t s : dec_j_.positives) {
-    // A positive the client holds was pruned by F or never passed S.
+    // A positive the client indexed but dropped (F pruned it) is restored;
+    // one it never indexed is left for the fetch round.
     const auto it = by_short_id_.find(s);
     if (it != by_short_id_.end() && ambiguous_.count(s) == 0) {
       candidates_.insert(it->second);

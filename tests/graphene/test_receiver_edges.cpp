@@ -146,6 +146,33 @@ TEST(ReceiverEdges, SpamFilteredBlockRecoversViaProtocol2) {
   EXPECT_GE(decoded, 9);
 }
 
+TEST(ReceiverEdges, UnknownNegativeShortIdInJFailsTheRelay) {
+  // Every honest negative of J ⊖ J′ comes from J′ or I′, both built over the
+  // receiver's indexed candidates. A J that decodes to a negative short ID
+  // the receiver never indexed is forged: the relay fails rather than
+  // leaving the verdict to the Merkle check.
+  util::Rng rng(6);
+  chain::ScenarioSpec spec;
+  spec.block_txns = 200;
+  spec.extra_txns = 200;
+  spec.block_fraction_in_mempool = 0.9;
+  const chain::Scenario s = chain::make_scenario(spec, rng);
+  const Sender sender(s.block, rng.next());
+  const GrapheneBlockMsg msg = sender.encode(s.m).msg;
+
+  ReceiveSession honest = Receiver(s.receiver_mempool).session();
+  ASSERT_EQ(honest.receive_block(msg).status, ReceiveStatus::kNeedsProtocol2);
+  const GrapheneRequestMsg req = honest.build_request();
+  GrapheneResponseMsg resp = sender.serve(req);
+  ASSERT_NE(honest.complete(resp).status, ReceiveStatus::kFailed);
+
+  ReceiveSession forged = Receiver(s.receiver_mempool).session();
+  ASSERT_EQ(forged.receive_block(msg).status, ReceiveStatus::kNeedsProtocol2);
+  (void)forged.build_request();
+  resp.iblt_j.erase(0x0badc0de0badc0deULL);  // a short ID nobody holds
+  EXPECT_EQ(forged.complete(resp).status, ReceiveStatus::kFailed);
+}
+
 TEST(ReceiverEdges, HugeMempoolSmallBlock) {
   util::Rng rng(5);
   chain::ScenarioSpec spec;
