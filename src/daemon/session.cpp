@@ -9,17 +9,7 @@
 namespace graphene::daemon {
 namespace {
 
-/// Deserializes a whole payload, rejecting trailing bytes (same contract as
-/// reconcile::detail::parse_payload, restated here for the daemon frames).
-template <typename Msg>
-Msg parse_payload(const net::Message& msg, const char* what) {
-  util::ByteReader reader(util::ByteView(msg.payload));
-  Msg parsed = Msg::deserialize(reader);
-  if (!reader.done()) {
-    throw util::DeserializeError(std::string(what) + ": trailing bytes in payload");
-  }
-  return parsed;
-}
+using reconcile::detail::parse_payload;
 
 const char* backend_label(core::ReconcileBackend backend) noexcept {
   return backend == core::ReconcileBackend::kRatelessIblt ? "rateless" : "graphene";
@@ -161,7 +151,7 @@ void PeerSession::handle_hello(std::uint64_t now_ns, const net::Message& msg,
          "daemon: hello inside an open session", out);
     return;
   }
-  const HelloMsg hello = parse_payload<HelloMsg>(msg, "daemon::HelloMsg");
+  const HelloMsg hello = parse_payload<HelloMsg>(msg.payload, "daemon::HelloMsg");
   if (hello.version != kDaemonProtocolVersion) {
     fail(CloseReason::kProtocolError, ErrorCode::kUnsupported,
          "daemon: unsupported protocol version " + std::to_string(hello.version), out);
@@ -178,7 +168,7 @@ void PeerSession::handle_hello(std::uint64_t now_ns, const net::Message& msg,
     backend_ = reconcile::make_host_backend(*items_, session_salt, cfg);
     const reconcile::WireMsg opening = backend_->open(hello.item_count);
     serving_ = true;
-    backend_kind_ = hello.backend == 1 ? BackendKind::kRateless : BackendKind::kGraphene;
+    backend_kind_ = cfg.reconcile_backend;
     session_start_ns_ = now_ns;
     session_messages_ = 0;
     out.push_back(opening.to_message());
@@ -196,7 +186,7 @@ void PeerSession::handle_bye(std::uint64_t now_ns, const net::Message& msg,
          "daemon: bye outside a session", out);
     return;
   }
-  const ByeMsg bye = parse_payload<ByeMsg>(msg, "daemon::ByeMsg");
+  const ByeMsg bye = parse_payload<ByeMsg>(msg.payload, "daemon::ByeMsg");
   record_session_end(now_ns, bye.ok == 1, bye.rounds);
   serving_ = false;
   backend_.reset();
@@ -230,9 +220,7 @@ void PeerSession::record_session_end(std::uint64_t now_ns, bool ok,
     ++stats_.sessions_failed;
   }
   if (obs::Registry* reg = obs::enabled(obs_)) {
-    const char* backend = backend_kind_ == BackendKind::kRateless
-                              ? backend_label(core::ReconcileBackend::kRatelessIblt)
-                              : backend_label(core::ReconcileBackend::kGraphene);
+    const char* backend = backend_label(backend_kind_);
     const obs::Labels labels = {{"backend", backend}, {"ok", ok ? "1" : "0"}};
     reg->histogram("daemon_session_ns", labels).observe(now_ns - session_start_ns_);
     reg->counter("daemon_sessions_total", labels).inc();

@@ -134,8 +134,6 @@ class PeerSession {
   [[nodiscard]] const SessionStats& stats() const noexcept { return stats_; }
 
  private:
-  enum class BackendKind : std::uint8_t { kGraphene, kRateless };
-
   void handle_message(std::uint64_t now_ns, const net::Message& msg,
                       std::vector<net::Message>& out);
   void handle_hello(std::uint64_t now_ns, const net::Message& msg,
@@ -155,7 +153,7 @@ class PeerSession {
   net::FrameReader reader_;
   std::unique_ptr<reconcile::HostBackend> backend_;
   bool serving_ = false;
-  BackendKind backend_kind_ = BackendKind::kGraphene;
+  core::ReconcileBackend backend_kind_ = core::ReconcileBackend::kGraphene;
   CloseReason reason_ = CloseReason::kOpen;
 
   std::uint64_t last_activity_ns_ = 0;

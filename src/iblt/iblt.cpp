@@ -4,20 +4,12 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "util/simd/simd.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
 
 namespace graphene::iblt {
 
 namespace {
-// The SIMD cells_sub kernel operates on the raw 16-byte cell layout; pin
-// the field offsets it assumes.
-static_assert(sizeof(Iblt::Cell) == 16);
-static_assert(offsetof(Iblt::Cell, key_sum) == 0);
-static_assert(offsetof(Iblt::Cell, count) == 8);
-static_assert(offsetof(Iblt::Cell, check_sum) == 12);
-
 constexpr std::uint32_t kMinHashCount = 2;
 constexpr std::uint32_t kMaxHashCount = 16;
 constexpr std::uint64_t kCheckSalt = 0xc0ffee3141592653ULL;
@@ -246,13 +238,20 @@ Iblt Iblt::subtract(const Iblt& other) const {
     throw std::invalid_argument("Iblt::subtract: incompatible parameters");
   }
   Iblt out = *this;
-  util::simd::active().cells_sub(out.cells_.data(), other.cells_.data(), cells_.size());
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    Cell& cell = out.cells_[i];
+    const Cell& o = other.cells_[i];
+    cell.key_sum ^= o.key_sum;
+    cell.count = wrap_sub(cell.count, o.count);
+    cell.check_sum ^= o.check_sum;
+  }
   return out;
 }
 
 bool Iblt::empty() const noexcept {
-  const util::ByteView raw = util::object_bytes(cells_.data(), cells_.size());
-  return util::simd::active().all_zero(raw.data(), raw.size());
+  return std::all_of(cells_.begin(), cells_.end(), [](const Cell& c) {
+    return c.key_sum == 0 && c.count == 0 && c.check_sum == 0;
+  });
 }
 
 DecodeResult Iblt::decode() const {

@@ -77,12 +77,12 @@ class ClientBackend {
 
 namespace detail {
 
-/// Deserializes a whole WireMsg payload, rejecting trailing bytes (a typed
+/// Deserializes a whole message payload, rejecting trailing bytes (a typed
 /// message is the entire payload, so leftovers mean a framing bug or a
-/// smuggled appendix).
+/// smuggled appendix). The daemon's own frames share it.
 template <typename Msg>
-Msg parse_payload(const WireMsg& msg, const char* what) {
-  util::ByteReader reader(util::ByteView(msg.payload));
+Msg parse_payload(util::ByteView payload, const char* what) {
+  util::ByteReader reader(payload);
   Msg parsed = Msg::deserialize(reader);
   if (!reader.done()) {
     throw util::DeserializeError(std::string(what) + ": trailing bytes in payload");

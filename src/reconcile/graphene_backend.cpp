@@ -235,12 +235,12 @@ FetchResponse GrapheneHostBackend::serve_fetch(const FetchRequest& request) cons
 WireMsg GrapheneHostBackend::serve_wire(const WireMsg& request) {
   switch (request.type) {
     case net::MessageType::kReconcileRequest: {
-      const Request req = parse_payload<Request>(request, "reconcile::Request");
+      const Request req = parse_payload<Request>(request.payload, "reconcile::Request");
       return {net::MessageType::kReconcileResponse, serve(req).serialize()};
     }
     case net::MessageType::kReconcileFetch: {
       const FetchRequest req =
-          parse_payload<FetchRequest>(request, "reconcile::FetchRequest");
+          parse_payload<FetchRequest>(request.payload, "reconcile::FetchRequest");
       return {net::MessageType::kReconcileFetchResponse, serve_fetch(req).serialize()};
     }
     default: break;
@@ -333,7 +333,7 @@ Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
   switch (msg.type) {
     case net::MessageType::kReconcileOffer: {
       if (phase_ != Phase::kAwaitOffer) break;
-      offer_ = parse_payload<Offer>(msg, "reconcile::Offer");
+      offer_ = parse_payload<Offer>(msg.payload, "reconcile::Offer");
       out = absorb_offer();
       record_decode(reg, "reconcile_p1", out.status);
       phase_ = out.status == Outcome::Status::kNeedsRequest ? Phase::kAwaitResponse
@@ -343,7 +343,7 @@ Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
     }
     case net::MessageType::kReconcileResponse: {
       if (phase_ != Phase::kAwaitResponse) break;
-      out = complete(parse_payload<Response>(msg, "reconcile::Response"));
+      out = complete(parse_payload<Response>(msg.payload, "reconcile::Response"));
       record_decode(reg, "reconcile_p2", out.status);
       // A post-repair checksum mismatch leaves nothing to ask for: the
       // repair round is spent, so the session fails rather than looping.
@@ -356,7 +356,7 @@ Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
     case net::MessageType::kReconcileFetchResponse: {
       if (phase_ != Phase::kAwaitFetch) break;
       for (const ItemDigest& d :
-           parse_payload<FetchResponse>(msg, "reconcile::FetchResponse").items) {
+           parse_payload<FetchResponse>(msg.payload, "reconcile::FetchResponse").items) {
         client_.index(d);
       }
       client_.clear_unresolved();

@@ -125,7 +125,7 @@ WireMsg RatelessHostBackend::serve_wire(const WireMsg& request) {
     throw core::ProtocolError("rateless_serve",
                               "unexpected message type for rateless backend", ctx);
   }
-  const RatelessNeed need = parse_payload<RatelessNeed>(request, "reconcile::RatelessNeed");
+  const RatelessNeed need = parse_payload<RatelessNeed>(request.payload, "reconcile::RatelessNeed");
   const std::uint64_t count = std::clamp<std::uint64_t>(
       need.count, 1, util::wire::kMaxRatelessChunkSymbols);
   if (need.next_index + count > stream_budget_) {
@@ -160,7 +160,7 @@ Outcome RatelessClientBackend::fail() {
 
 Outcome RatelessClientBackend::absorb_wire(const WireMsg& msg) {
   if (failed_ || msg.type != net::MessageType::kRatelessChunk) return fail();
-  const RatelessChunk chunk = parse_payload<RatelessChunk>(msg, "reconcile::RatelessChunk");
+  const RatelessChunk chunk = parse_payload<RatelessChunk>(msg.payload, "reconcile::RatelessChunk");
   obs::Registry* reg = obs::enabled(cfg_.obs);
   record_msg(reg, obs::FlightEventKind::kMsgReceived, "rlchunk", chunk,
              {{"start", static_cast<double>(chunk.start)},

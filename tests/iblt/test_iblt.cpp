@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/hex.hpp"
 #include "util/random.hpp"
@@ -103,6 +106,72 @@ TEST(Iblt, SubtractRequiresMatchingParameters) {
   EXPECT_THROW((void)a.subtract(b4), std::invalid_argument);
   EXPECT_THROW((void)a.subtract(b5), std::invalid_argument);
   EXPECT_THROW((void)a.subtract(bseed), std::invalid_argument);
+}
+
+// Cell counts come off the wire, so a hostile table can carry the extremes:
+// the count lane must wrap two's-complement (and stay defined behaviour
+// under UBSan) while key_sum and check_sum XOR, in every cell up to the last.
+TEST(Iblt, SubtractWrapsCountAndXorsSums) {
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const IbltParams params{3, 5};  // rounds up to 6 cells
+  Iblt a(params, 7), b(params, 7);
+  ASSERT_EQ(a.cell_count(), 6u);
+  using Cell = Iblt::Cell;
+  const std::vector<Cell> lhs = {
+      {0x0123456789abcdefULL, kMin, 0xdeadbeefU},
+      {0xffffffffffffffffULL, kMax, 0x00000001U},
+      {0, 5, 0},
+      {0x8000000000000000ULL, -1, 0x80000000U},
+      {0, 0, 0},
+      {0x00000000000000ffULL, kMin, 0xffffffffU},
+  };
+  const std::vector<Cell> rhs = {
+      {0xfedcba9876543210ULL, 1, 0xdeadbeefU},
+      {0x0000000000000001ULL, -1, 0x00000002U},
+      {0, 7, 0},
+      {0x8000000000000000ULL, kMax, 0x80000000U},
+      {0x1111111111111111ULL, kMin, 0x22222222U},
+      {0x0000000000000f00ULL, kMax, 0x0000ffffU},
+  };
+  const std::vector<Cell> want = {
+      {0xffffffffffffffffULL, kMax, 0x00000000U},  // INT32_MIN - 1
+      {0xfffffffffffffffeULL, kMin, 0x00000003U},  // INT32_MAX - (-1)
+      {0, -2, 0},
+      {0, kMin, 0},                                 // -1 - INT32_MAX
+      {0x1111111111111111ULL, kMin, 0x22222222U},  // 0 - INT32_MIN
+      {0x0000000000000fffULL, 1, 0xffff0000U},      // INT32_MIN - INT32_MAX
+  };
+  a.cells_for_test() = lhs;
+  b.cells_for_test() = rhs;
+  Iblt diff = a.subtract(b);
+  const std::vector<Cell>& got = diff.cells_for_test();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(got[i].key_sum, want[i].key_sum);
+    EXPECT_EQ(got[i].count, want[i].count);
+    EXPECT_EQ(got[i].check_sum, want[i].check_sum);
+  }
+  EXPECT_EQ(a.cells_for_test()[0].count, kMin);  // the minuend is untouched
+}
+
+// empty() must look at every field of every cell: a table whose only nonzero
+// value sits in one field of the last cell is not empty.
+TEST(Iblt, EmptyChecksEveryFieldOfTheLastCell) {
+  for (const IbltParams params : {IbltParams{2, 2}, IbltParams{3, 9}, IbltParams{4, 44}}) {
+    for (int field = 0; field < 3; ++field) {
+      SCOPED_TRACE("cells " + std::to_string(params.cells) + ", field " +
+                   std::to_string(field));
+      Iblt t(params);
+      ASSERT_TRUE(t.empty());
+      Iblt::Cell& last = t.cells_for_test().back();
+      if (field == 0) last.key_sum = 1ULL << 63;
+      if (field == 1) last.count = -1;
+      if (field == 2) last.check_sum = 1U << 31;
+      EXPECT_FALSE(t.empty());
+    }
+  }
 }
 
 TEST(Iblt, OverloadedTableFailsButReportsPartial) {

@@ -15,10 +15,11 @@ FIRST-CLASS — things no AST check can express, enforced everywhere:
   confined-intrinsics: vector-intrinsic headers (<immintrin.h>,
      <x86intrin.h>, <arm_neon.h>) and raw intrinsic calls (_mm*/_mm256*/
      _mm512*/vld1q*-family identifiers) are allowed only under
-     src/util/simd/. Everything else routes through util::simd::active()
-     so the capability check in dispatch.cpp is the single gate deciding
-     whether a vector instruction can execute — an intrinsic anywhere else
-     can SIGILL on an older CPU before dispatch ever runs.
+     src/util/simd/, where each ISA-specific function lives in its own
+     translation unit and is reached only after a runtime CPU capability
+     check — an intrinsic anywhere else can SIGILL on an older CPU before
+     any check runs. The directory holds no kernel today; the rule keeps
+     the boundary for the next one.
 
 FALLBACK — regex approximations of the graphene-* clang-tidy checks in
 tools/tidy-plugin/. On toolchains that can build and load the plugin, the
@@ -203,7 +204,7 @@ def lint_file(rel: Path, text=None, fallback=True):
 
     findings.extend(lint_nolint_hygiene(lines))
 
-    # First-class: intrinsics stay behind the runtime dispatch boundary.
+    # First-class: intrinsics stay behind a runtime capability check.
     in_simd = rel.parts[:3] == ("src", "util", "simd")
     if not in_simd:
         in_block = False
@@ -222,15 +223,16 @@ def lint_file(rel: Path, text=None, fallback=True):
             if RE_INTRINSIC_HEADER.search(code):
                 findings.append(
                     (lineno, "confined-intrinsics",
-                     "vector-intrinsic header outside src/util/simd/ — add a "
-                     "kernel there and call util::simd::active()")
+                     "vector-intrinsic header outside src/util/simd/ — put the "
+                     "ISA-specific function in its own TU there, behind a CPU "
+                     "capability check")
                 )
             elif RE_INTRINSIC_CALL.search(code):
                 findings.append(
                     (lineno, "confined-intrinsics",
                      "raw vector intrinsic outside src/util/simd/ — it can "
-                     "execute before the CPU capability check; route through "
-                     "util::simd::active()")
+                     "execute before any CPU capability check; move it into "
+                     "its own TU there")
                 )
 
     if not fallback:
